@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import MixedAlgebras, MixedFieldSpecs, NonSquareStructure
-from .field import PRIME_FIELD, FieldScalar, FieldSpec, scalar_parse
+from .field import FieldScalar, FieldSpec, _render_terms, scalar_parse
 from .linalg import Matrix
 
 
@@ -175,35 +175,17 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra == other.algebra and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
+        return self.algebra == other.algebra and self.coords == other.coords
 
     def __hash__(self):
         return hash((self.algebra, tuple(hash(x) for x in self.coords)))
 
     def render(self) -> str:
         """Linear-combination text like ``e1 - 1/2*e3`` (``0`` when zero)."""
-        parts: list[str] = []
-        for i, coeff in enumerate(self.coords, start=1):
-            if coeff.is_zero():
-                continue
-            negative, mag = _signed(coeff)
-            term = f"e{i}" if mag == "1" else f"{mag}*e{i}"
-            if not parts:
-                parts.append(f"-{term}" if negative else term)
-            else:
-                parts.append(f"- {term}" if negative else f"+ {term}")
-        return " ".join(parts) if parts else "0"
+        return _render_terms((coeff, f"e{i}") for i, coeff in enumerate(self.coords, start=1))
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"Element({self.render()})"
-
-
-def _signed(coeff: FieldScalar) -> tuple[bool, str]:
-    if coeff.spec.kind != PRIME_FIELD and coeff.value < 0:
-        return True, (-coeff).render()
-    return False, coeff.render()

@@ -333,23 +333,9 @@ class LowDegreePoly:
         return nonzero_roots(self)
 
     def render(self, var: str = "x") -> str:
-        parts: list[str] = []
-        for coeff, power in ((self.c3, 3), (self.c2, 2), (self.c1, 1), (self.c0, 0)):
-            if coeff.is_zero():
-                continue
-            negative, mag = _signed_render(coeff)
-            if power == 0:
-                term = mag
-            else:
-                xp = var if power == 1 else f"{var}^{power}"
-                term = xp if mag == "1" else f"{mag}*{xp}"
-            if not parts:
-                parts.append(f"-{term}" if negative else term)
-            else:
-                parts.append(f"- {term}" if negative else f"+ {term}")
-        if not parts:
-            return "0"
-        return " ".join(parts)
+        return _render_terms(
+            ((self.c3, f"{var}^3"), (self.c2, f"{var}^2"), (self.c1, var), (self.c0, ""))
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LowDegreePoly):
@@ -370,6 +356,29 @@ def _signed_render(coeff: FieldScalar) -> tuple[bool, str]:
     if coeff.value < 0:
         return True, (-coeff).render()
     return False, coeff.render()
+
+
+def _render_terms(terms) -> str:
+    """Linear-combination text from (coefficient, unit) pairs.
+
+    Zero coefficients are skipped, a coefficient of one is dropped before
+    a nonempty unit, and an empty unit leaves the bare coefficient.  Terms
+    join as ``-t`` first, then ``- t`` / ``+ t``; no terms gives ``0``.
+    """
+    parts: list[str] = []
+    for coeff, unit in terms:
+        if coeff.is_zero():
+            continue
+        negative, mag = _signed_render(coeff)
+        if not unit:
+            term = mag
+        else:
+            term = unit if mag == "1" else f"{mag}*{unit}"
+        if not parts:
+            parts.append(f"-{term}" if negative else term)
+        else:
+            parts.append(f"- {term}" if negative else f"+ {term}")
+    return " ".join(parts) if parts else "0"
 
 
 def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:

@@ -114,11 +114,10 @@ class SubalgebraReport:
         return [f.subspace for f in self.found]
 
 
-def _check_pair(a: EvolutionAlgebra, p: int, q: int) -> tuple[int, int]:
+def _check_pair(a: EvolutionAlgebra, p: int, q: int) -> None:
     n = a.dim
     if not (1 <= p <= n and 1 <= q <= n) or p == q:
         raise BadIndices(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
-    return (p, q) if p < q else (q, p)
 
 
 def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
@@ -182,7 +181,8 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     """
     if a.dim < 3:
         raise DimensionTooSmall(f"pair submatrix needs dimension >= 3, got {a.dim}")
-    p, q = _check_pair(a, p, q)
+    _check_pair(a, p, q)
+    p, q = min(p, q), max(p, q)
     rows = [
         (a.structure.entry(i, p - 1), a.structure.entry(i, q - 1))
         for i in range(a.dim)
@@ -213,9 +213,7 @@ def closure_condition(
     The identity is homogeneous of degree three in (alpha, beta), so any
     nonzero multiple of the pair gives the same verdict.
     """
-    n = a.dim
-    if not (1 <= p <= n and 1 <= q <= n) or p == q:
-        raise BadIndices(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
+    _check_pair(a, p, q)
     if alpha.is_zero() and beta.is_zero():
         raise ZeroPair("coefficient pair (0, 0) spans nothing")
     lhs, rhs = _closure_sides(a, p, q, alpha, beta)
@@ -224,9 +222,7 @@ def closure_condition(
 
 def closure_cubic(a: EvolutionAlgebra, p: int, q: int) -> LowDegreePoly:
     """Cubic whose nonzero roots t give closed lines v = e_p + t*e_q."""
-    n = a.dim
-    if not (1 <= p <= n and 1 <= q <= n) or p == q:
-        raise BadIndices(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
+    _check_pair(a, p, q)
     return LowDegreePoly(
         a.structure_constant(q, p),
         -a.structure_constant(q, q),
@@ -242,38 +238,13 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     """
     if a.dim < 3:
         raise DimensionTooSmall(f"needs dimension >= 3, got {a.dim}")
-    n = a.dim
-    if not (1 <= p <= n and 1 <= q <= n) or p == q:
-        raise BadIndices(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
-    for i in range(1, n + 1):
+    _check_pair(a, p, q)
+    for i in range(1, a.dim + 1):
         if i in (p, q):
             continue
         lhs, rhs = _closure_sides(a, p, q, a.structure_constant(i, p), a.structure_constant(i, q))
         if lhs != rhs:
             return False
-    return True
-
-
-def _closed_within_scale(sub: Subspace) -> bool:
-    """Scale-aware closure re-verification for the tolerance-based reals.
-
-    The absolute-tolerance membership test cannot pass once product
-    coordinates grow large, so the residual of each reduced basis product
-    is compared against tol times the magnitude of what was cancelled.
-    """
-    tol = sub.algebra.spec.tol
-    basis = sub.basis_elements()
-    for i, u in enumerate(basis):
-        for w in basis[i:]:
-            prod = u * w
-            scale = max(1.0, max((abs(x.value) for x in prod.coords), default=1.0))
-            v = list(prod.coords)
-            for row, c in zip(sub.basis.rows(), sub.pivot_cols):
-                f = v[c]
-                scale = max(scale, max(abs((f * b).value) for b in row))
-                v = [a - f * b for a, b in zip(v, row)]
-            if v and max(abs(x.value) for x in v) > tol * scale:
-                return False
     return True
 
 
@@ -294,11 +265,7 @@ def _codim1_subspace(
         coords[q - 1] = vec[1]
         elements.append(Element(a, tuple(coords)))
     sub = Subspace.span(a, elements)
-    if a.spec.kind == APPROX_REALS:
-        closed = _closed_within_scale(sub)
-    else:
-        closed = sub.is_subalgebra()
-    if sub.dim != a.dim - 1 or not closed:
+    if sub.dim != a.dim - 1 or not sub.is_subalgebra():
         raise AssertionError(f"constructed candidate for pair ({p},{q}) failed verification")
     return sub
 

@@ -1,9 +1,11 @@
 """Dense linear algebra over a FieldSpec: RREF, rank, determinant, inverse.
 
-Everything is exact over Q and F_p.  Over the tolerance-based reals,
-pivots are chosen by max-magnitude partial pivoting and zero tests use
-the field tolerance; rank and regularity verdicts are therefore
-tolerance-sensitive there.
+``rref`` and ``determinant`` share one forward elimination: ``rref``
+finishes it with a back pass over the pivot rows, and ``determinant``
+reads the signed product of its pivots.  Everything is exact over Q and
+F_p.  Over the tolerance-based reals, pivots are chosen by max-magnitude
+partial pivoting among entries above the field tolerance; rank and
+regularity verdicts are therefore tolerance-sensitive there.
 """
 
 from __future__ import annotations
@@ -102,12 +104,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(a == b for ra, rb in zip(self._rows, other._rows) for a, b in zip(ra, rb))
-        )
+        return self.spec == other.spec and self.ncols == other.ncols and self._rows == other._rows
 
     def __hash__(self):
         if self.spec.kind == APPROX_REALS:
@@ -158,6 +155,43 @@ def _pick_pivot(rows, start: int, col: int, approx: bool) -> int:
     return best
 
 
+def _eliminate(rows: list[list[FieldScalar]], spec: FieldSpec) -> tuple[list[int], FieldScalar]:
+    """Forward elimination in place: scale each pivot row to a leading one
+    and clear the rows below it.
+
+    Returns the pivot columns and the product of the pivots, negated once
+    per row swap (the determinant when every column has a pivot).
+    """
+    approx = spec.kind == APPROX_REALS
+    zero, one = spec.zero(), spec.one()
+    nr = len(rows)
+    pivots: list[int] = []
+    det = one
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r >= nr:
+            break
+        i = _pick_pivot(rows, r, c, approx)
+        if i < 0:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            det = -det
+        piv = rows[r][c]
+        det = det * piv
+        inv = piv.inv()
+        rows[r] = [x * inv for x in rows[r]]
+        rows[r][c] = one
+        for k in range(r + 1, nr):
+            f = rows[k][c]
+            if f.value == 0:
+                continue
+            rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+            rows[k][c] = zero
+        pivots.append(c)
+    return pivots, det
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form, rank, and pivot columns.
 
@@ -165,78 +199,28 @@ def rref(m: Matrix) -> RrefResult:
     is unique, so subspace equality reduces to entry-wise comparison.
     """
     spec = m.spec
-    approx = spec.kind == APPROX_REALS
     zero = spec.zero()
     rows = [list(r) for r in m.rows()]
-    nr, nc = m.nrows, m.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        i = _pick_pivot(rows, r, c, approx)
-        if i < 0:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        rows[r][c] = spec.one()
-        for k in range(nr):
-            if k == r:
-                continue
+    pivots, _ = _eliminate(rows, spec)
+    for r, c in enumerate(pivots):
+        for k in range(r):
             f = rows[k][c]
             if f.value == 0:
                 continue
             rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
             rows[k][c] = zero
-        pivots.append(c)
-        r += 1
     rank = len(pivots)
-    for k in range(rank, nr):
-        rows[k] = [zero] * nc
-    return RrefResult(Matrix(spec, rows, ncols=nc), rank, tuple(pivots))
+    for k in range(rank, m.nrows):
+        rows[k] = [zero] * m.ncols
+    return RrefResult(Matrix(spec, rows, ncols=m.ncols), rank, tuple(pivots))
 
 
 def determinant(m: Matrix) -> FieldScalar:
-    """Exact determinant by elimination (partial pivoting over the reals)."""
+    """Determinant as the signed product of the elimination pivots."""
     if m.nrows != m.ncols:
         raise NonSquareMatrix(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    spec = m.spec
-    n = m.nrows
-    if n == 0:
-        return spec.one()
-    approx = spec.kind == APPROX_REALS
-    rows = [list(r) for r in m.rows()]
-    det = spec.one()
-    negate = False
-    for c in range(n):
-        best = -1
-        if approx:
-            best_mag = 0.0
-            for i in range(c, n):
-                mag = rows[i][c].magnitude()
-                if mag > best_mag:
-                    best, best_mag = i, mag
-        else:
-            for i in range(c, n):
-                if rows[i][c].value != 0:
-                    best = i
-                    break
-        if best < 0:
-            return spec.zero()
-        if best != c:
-            rows[c], rows[best] = rows[best], rows[c]
-            negate = not negate
-        piv = rows[c][c]
-        det = det * piv
-        inv = piv.inv()
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f.value == 0:
-                continue
-            factor = f * inv
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return -det if negate else det
+    pivots, det = _eliminate([list(r) for r in m.rows()], m.spec)
+    return det if len(pivots) == m.nrows else m.spec.zero()
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -12,6 +12,7 @@ from typing import Iterable
 
 from .algebra import Element, EvolutionAlgebra
 from .errors import MixedAlgebras, MixedFieldSpecs, NotASubalgebra, NotRegular
+from .field import APPROX_REALS
 from .linalg import Matrix, rref
 
 
@@ -54,17 +55,33 @@ class Subspace:
         return tuple(Element(self.algebra, row) for row in self.basis.rows())
 
     def contains(self, u: Element) -> bool:
-        """Membership by reduction against the RREF basis."""
+        """Membership by reduction against the RREF basis.
+
+        Exact fields need an exactly zero residual.  Over R each residual
+        coordinate must be within tol times the largest magnitude among
+        the coordinates of ``u`` and the terms cancelled against them (at
+        least one), so rounding error at large magnitudes is not mistaken
+        for a nonzero residual.
+        """
         if u.algebra != self.algebra:
             raise MixedAlgebras("element from a different algebra")
+        spec = self.algebra.spec
+        approx = spec.kind == APPROX_REALS
+        zero = spec.zero()
         v = list(u.coords)
+        scale = 1.0
         for row, c in zip(self.basis.rows(), self.pivot_cols):
             f = v[c]
             if f.value == 0:
                 continue
+            if approx:
+                scale = max(scale, abs(f.value) * max(abs(b.value) for b in row))
             v = [a - f * b for a, b in zip(v, row)]
-            v[c] = self.algebra.spec.zero()
-        return all(x.is_zero() for x in v)
+            v[c] = zero
+        if not approx:
+            return all(x.is_zero() for x in v)
+        bound = spec.tol * max(scale, max((abs(x.value) for x in u.coords), default=0.0))
+        return all(abs(x.value) <= bound for x in v)
 
     def is_subalgebra(self) -> bool:
         """Closure under the product; basis pairs suffice by bilinearity."""

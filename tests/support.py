@@ -32,6 +32,21 @@ RANK2_PAIR_ROWS = [[1, 0, 1, 2], [0, 1, 1, -1], [0, 0, -3, 2], [0, 0, 1, 0]]
 
 SWAP_2D_ROWS = [[0, 1], [1, 0]]  # e1^2 = e2, e2^2 = e1
 
+# Singular over R (row3 = row1 + row2); every pivot candidate of the last
+# column lies within the tolerance once the first two are eliminated.
+NEAR_SINGULAR_REAL_ROWS = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.5, 0.7, 0.9]]
+
+# Regular real algebra with entries near 1e6: closure residuals of its
+# codimension-one subalgebras exceed an absolute tolerance, though they
+# are tiny next to the magnitudes cancelled.
+SCALED_1E6_ROWS = [
+    ["1e6", "2e6", "0", "1e6", "0"],
+    ["-1e6", "-2e6", "0", "1e6", "0"],
+    ["1e6", "0", "-2e6", "0", "0"],
+    ["0", "2e6", "0", "3e6", "0"],
+    ["1e6", "0", "1e6", "0", "3e6"],
+]
+
 
 def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

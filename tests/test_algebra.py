@@ -12,8 +12,10 @@ from evoalg import EvolutionAlgebra, MixedAlgebras, NonSquareStructure
 from support import (
     F2,
     F3,
+    NEAR_SINGULAR_REAL_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
     Q,
+    R9,
     SHIFT_NILPOTENT_ROWS,
     all_regular_structures,
     elem,
@@ -74,6 +76,12 @@ def test_is_regular():
     assert make_algebra(Q, identity_rows(3)).is_regular()
     assert make_algebra(Q, NO_CODIM1_OVER_Q_ROWS).is_regular()
     assert not make_algebra(Q, SHIFT_NILPOTENT_ROWS).is_regular()
+
+
+def test_near_singular_real_algebra_is_not_regular():
+    a = make_algebra(R9, NEAR_SINGULAR_REAL_ROWS)
+    assert a.determinant().is_zero()
+    assert not a.is_regular()
 
 
 def test_support():

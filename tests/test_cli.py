@@ -3,13 +3,33 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import evoalg
 from evoalg.cli import AlgebraFile, main
-from support import NO_CODIM1_OVER_Q_ROWS, SHIFT_NILPOTENT_ROWS
+from support import (
+    NEAR_SINGULAR_REAL_ROWS,
+    NO_CODIM1_OVER_Q_ROWS,
+    SCALED_1E6_ROWS,
+    SHIFT_NILPOTENT_ROWS,
+)
+
+REALS = {"kind": "R", "tol": 1e-9}
+
+
+def run_module(*argv):
+    """``python -m evoalg`` in a child that imports the same package as this
+    process, whether it comes from an install or from pytest's path."""
+    path = [str(Path(evoalg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "evoalg", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def write_algebra(tmp_path, name, field, dim, rows):
@@ -161,6 +181,20 @@ def test_verify_negative_verdict(identity2, capsys):
     assert out.strip() == "subalgebra: no"
 
 
+def test_regular_near_singular_reals(tmp_path, capsys):
+    path = write_algebra(tmp_path, "sing.alg", REALS, 3, NEAR_SINGULAR_REAL_ROWS)
+    code, out, err = run(capsys, "regular", path)
+    assert (code, out, err) == (0, "not regular (det = 0)\n", "")
+
+
+def test_verify_real_span_at_large_magnitude(tmp_path, capsys):
+    path = write_algebra(tmp_path, "big.alg", REALS, 5, SCALED_1E6_ROWS)
+    span = "1,0,0,0,0;0,1,0,0,0;0,0,1,0,3.5615528128088303;0,0,0,1,0"
+    code, out, _ = run(capsys, "verify", path, "--span", span)
+    assert code == 0
+    assert out.splitlines()[0] == "subalgebra: yes"
+
+
 def test_natural_basis_success(identity2, capsys):
     code, out, _ = run(capsys, "natural-basis", identity2, "--span", "1,1", "--json")
     assert code == 0
@@ -241,19 +275,11 @@ def test_codim1_on_dim2_file(identity2, capsys):
 
 
 def test_module_entry_point(dense3):
-    proc = subprocess.run(
-        [sys.executable, "-m", "evoalg", "regular", dense3],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("regular", dense3)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "regular (det = -1)"
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "evoalg", "no-such-command", "x"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("no-such-command", "x")
     assert proc.returncode == 2

@@ -36,6 +36,7 @@ from support import (
     Q,
     R9,
     RANK2_PAIR_ROWS,
+    SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
     SWAP_2D_ROWS,
     all_regular_structures,
@@ -163,6 +164,40 @@ def test_pair_submatrix_index_errors():
         pair_submatrix(a, 0, 2)
     with pytest.raises(DimensionTooSmall):
         pair_submatrix(make_algebra(Q, identity_rows(2)), 1, 2)
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (0, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pair_submatrix,
+        closure_cubic,
+        codim1_necessary,
+        lambda a, p, q: closure_condition(a, p, q, Q.one(), Q.zero()),
+    ],
+    ids=["pair_submatrix", "closure_cubic", "codim1_necessary", "closure_condition"],
+)
+def test_bad_indices_at_every_pair_entry_point(entry, pair):
+    with pytest.raises(BadIndices):
+        entry(make_algebra(Q, NO_CODIM1_OVER_Q_ROWS), *pair)
+
+
+def test_pair_error_precedence():
+    small = make_algebra(Q, identity_rows(2))
+    for entry in (pair_submatrix, codim1_necessary):
+        with pytest.raises(DimensionTooSmall):
+            entry(small, 1, 1)
+    a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)
+    with pytest.raises(BadIndices):
+        closure_condition(a, 2, 2, Q.zero(), Q.zero())
+
+
+def test_closure_cubic_keeps_pair_order():
+    # Swapping p and q reverses the coefficients: the roots become reciprocals.
+    a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)
+    forward = [c.value for c in closure_cubic(a, 2, 3).coefficients()]
+    backward = [c.value for c in closure_cubic(a, 3, 2).coefficients()]
+    assert backward == [-c for c in reversed(forward)]
 
 
 def test_closure_condition_fails_on_both_rank1_pairs():
@@ -438,7 +473,7 @@ def test_real_flags_empty_for_well_conditioned_roots():
 
 
 def test_real_verification_handles_large_magnitudes():
-    # Product coordinates reach ~1e9 here; the internal re-verification is
+    # Product coordinates reach ~1e9 here; the closure test over R is
     # scale-aware, so the root subalgebras are still accepted.
     r0 = 1200.0 + 1.0 / 3.0
     rows = [[-2.0 - r0, -2.0 * r0, 0.0], [1.0, r0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -447,6 +482,16 @@ def test_real_verification_handles_large_magnitudes():
     d12 = {(d.p, d.q): d for d in report.diagnostics}[(1, 2)]
     assert len(d12.roots) == 3
     assert report.count == 4  # three root planes plus one deduped rank-1 plane
+
+
+def test_real_codim1_results_pass_public_closure_test():
+    # Search and Subspace.contains share one closure rule over R, so every
+    # reported subspace is closed by the public test at any magnitude.
+    a = make_algebra(R9, SCALED_1E6_ROWS)
+    report = enumerate_codim1(a)
+    assert report.count > 0
+    for sub in report.subspaces():
+        assert sub.is_subalgebra()
 
 
 def test_rank1_vector_is_normalized():

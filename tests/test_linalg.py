@@ -21,6 +21,7 @@ from support import (
     F2,
     F3,
     F5,
+    NEAR_SINGULAR_REAL_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
     Q,
     R9,
@@ -132,6 +133,13 @@ def test_determinant_detects_rank():
     for _ in range(40):
         m = make_matrix(F3, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
         assert (not determinant(m).is_zero()) == (rref(m).rank == 3)
+
+
+def test_determinant_near_singular_reals_is_zero():
+    m = make_matrix(R9, NEAR_SINGULAR_REAL_ROWS)
+    assert rref(m).rank == 2
+    det = determinant(m)
+    assert det.spec == R9 and det.value == 0
 
 
 def test_inverse_identity():
