@@ -21,10 +21,11 @@ class EvolutionAlgebra:
 
     Construction does not require regularity; operations that need a
     non-singular structure matrix check it themselves.  Instances are
-    immutable (the determinant and transpose-inverse caches are lazy).
+    immutable (the determinant, pivot-count and transpose-inverse caches
+    are lazy).
     """
 
-    __slots__ = ("spec", "dim", "structure", "_det", "_tinv")
+    __slots__ = ("spec", "dim", "structure", "_det", "_rank", "_tinv")
 
     def __init__(self, structure: Matrix):
         if structure.nrows != structure.ncols:
@@ -35,6 +36,7 @@ class EvolutionAlgebra:
         self.dim = structure.nrows
         self.structure = structure
         self._det = None
+        self._rank = None
         self._tinv = None
 
     @classmethod
@@ -49,11 +51,15 @@ class EvolutionAlgebra:
 
     def determinant(self) -> FieldScalar:
         if self._det is None:
-            self._det = linalg.determinant(self.structure)
+            self._det, self._rank = linalg._determinant_and_rank(self.structure)
         return self._det
 
     def is_regular(self) -> bool:
-        return not self.determinant().is_zero()
+        """Whether the elimination behind ``determinant`` found a pivot in
+        every column (over R: one above the tolerance), however small the
+        product of those pivots."""
+        self.determinant()
+        return self._rank == self.dim
 
     def transpose_inverse(self) -> Matrix:
         """Inverse of the transposed structure matrix (raises if singular)."""

@@ -63,7 +63,7 @@ class AlgebraFile:
                 raise FileFormatError(f"algebra file is missing the {key!r} key")
         spec = _spec_from_obj(obj["field"])
         dim = obj["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise FileFormatError(f"dim must be a positive integer, got {dim!r}")
         rows = obj["matrix"]
         if not isinstance(rows, list) or len(rows) != dim:

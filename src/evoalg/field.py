@@ -166,10 +166,6 @@ class FieldScalar:
             return abs(self.value - 1.0) <= self.spec.tol
         return self.value == 1
 
-    def magnitude(self):
-        """Absolute value of the underlying representation (pivoting aid)."""
-        return abs(self.value)
-
     def sort_key(self):
         return self.value
 

@@ -14,10 +14,17 @@ rows p, q removed):
   of ``e_q``, plus the two coordinate hyperplanes when the off-diagonal
   constants ``a[p,q]`` / ``a[q,p]`` vanish.
 
-Dimension two is handled by the same rank-0 formulas (there are no rows
-outside the pair), which yields the complete list of one-dimensional
-subalgebras.  Over prime fields, one-dimensional subalgebras of any
-dimension are found by scanning projective representatives directly.
+The rank is read straight off the structure matrix, without building or
+reducing the submatrix: column 1 pivots as in ``rref``, and the rank is 2
+as soon as one other row has a nonzero column-2 residual against the
+pivot row, which for a typical rank-2 pair is the first row looked at.
+Rank-0 and rank-1 pairs read every row.
+
+Dimension two is the same pair scan: the submatrix has no rows, so the
+single pair has rank 0, and the rank-0 formulas yield the complete list of
+one-dimensional subalgebras.  Over prime fields, one-dimensional
+subalgebras of any dimension are found by scanning projective
+representatives directly.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .errors import (
     ZeroPair,
 )
 from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, nonzero_roots
-from .linalg import Matrix, matvec, rref
+from .linalg import Matrix, _pair_rank, matvec
 from .subspace import Subspace
 
 CASE_ROW = "rank1-row"
@@ -120,6 +127,35 @@ def _check_pair(a: EvolutionAlgebra, p: int, q: int) -> None:
         raise BadIndices(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
 
 
+def _check_pair_with_rows(a: EvolutionAlgebra, p: int, q: int) -> None:
+    """``_check_pair``, for entry points that also need an index outside
+    the pair (a pair submatrix with at least one row)."""
+    if a.dim < 3:
+        raise DimensionTooSmall(f"pair submatrix needs dimension >= 3, got {a.dim}")
+    _check_pair(a, p, q)
+
+
+def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> list[tuple[FieldScalar, FieldScalar]]:
+    """Columns p, q (1-based, p < q) of the structure matrix without rows
+    p, q, in their original order."""
+    skip = (p - 1, q - 1)
+    return [(r[p - 1], r[q - 1]) for i, r in enumerate(a.structure.rows()) if i not in skip]
+
+
+def _value_columns(a: EvolutionAlgebra) -> list[list]:
+    """The raw values of the structure matrix, one list per column."""
+    return [[x.value for x in col] for col in zip(*a.structure.rows())]
+
+
+def _pair_rank_of(a: EvolutionAlgebra, p: int, q: int, columns: list[list]) -> int:
+    """Rank of the pair submatrix, from ``_value_columns(a)`` (p < q)."""
+
+    def outside_pair(col):
+        return col[: p - 1] + col[p : q - 1] + col[q:]
+
+    return _pair_rank(outside_pair(columns[p - 1]), outside_pair(columns[q - 1]), a.spec)
+
+
 def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
     """Defect of x in the one-dimensional closure system.
 
@@ -179,17 +215,10 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     Indices are 1-based and normalized to p < q; rows keep their original
     relative order.
     """
-    if a.dim < 3:
-        raise DimensionTooSmall(f"pair submatrix needs dimension >= 3, got {a.dim}")
-    _check_pair(a, p, q)
+    _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    rows = [
-        (a.structure.entry(i, p - 1), a.structure.entry(i, q - 1))
-        for i in range(a.dim)
-        if i not in (p - 1, q - 1)
-    ]
-    m = Matrix(a.spec, rows, ncols=2)
-    return PairSubmatrix(p, q, m, rref(m).rank)
+    rank = _pair_rank_of(a, p, q, _value_columns(a))
+    return PairSubmatrix(p, q, Matrix(a.spec, _pair_rows(a, p, q), ncols=2), rank)
 
 
 def _closure_sides(
@@ -236,9 +265,7 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     subalgebra supported on the pair (p, q): the closure identity must hold
     with (alpha, beta) = (a[i,p], a[i,q]) for every index i outside the pair.
     """
-    if a.dim < 3:
-        raise DimensionTooSmall(f"needs dimension >= 3, got {a.dim}")
-    _check_pair(a, p, q)
+    _check_pair_with_rows(a, p, q)
     for i in range(1, a.dim + 1):
         if i in (p, q):
             continue
@@ -272,7 +299,7 @@ def _codim1_subspace(
 
 def _rank0_findings(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     """Findings for a pair whose submatrix vanishes (also the full
-    dimension-two answer, where the submatrix is empty)."""
+    dimension-two answer, where the submatrix has no rows)."""
     cubic = closure_cubic(a, p, q)
     found = []
     for lam in nonzero_roots(cubic):
@@ -308,13 +335,15 @@ def _rank0_diagnostics(a: EvolutionAlgebra, p: int, q: int, found) -> PairDiagno
     )
 
 
-def _pair_search(a: EvolutionAlgebra, p: int, q: int) -> tuple[list[CodimOneFound], PairDiagnostics]:
-    sub = pair_submatrix(a, p, q)
-    p, q = sub.p, sub.q
-    if sub.rank == 2:
+def _pair_search(
+    a: EvolutionAlgebra, p: int, q: int, columns: list[list]
+) -> tuple[list[CodimOneFound], PairDiagnostics]:
+    p, q = min(p, q), max(p, q)
+    rank = _pair_rank_of(a, p, q, columns)
+    if rank == 2:
         return [], PairDiagnostics(p, q, 2)
-    if sub.rank == 1:
-        row = next(r for r in sub.matrix.rows() if not (r[0].is_zero() and r[1].is_zero()))
+    if rank == 1:
+        row = next(r for r in _pair_rows(a, p, q) if not (r[0].is_zero() and r[1].is_zero()))
         lhs, rhs = _closure_sides(a, p, q, row[0], row[1])
         holds = lhs == rhs
         found = []
@@ -335,16 +364,18 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     """Codimension-one subalgebras attached to one index pair."""
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
-    found, _ = _pair_search(a, p, q)
+    _check_pair_with_rows(a, p, q)
+    found, _ = _pair_search(a, p, q, _value_columns(a))
     return found
 
 
 def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
     """All codimension-one subalgebras, deduplicated and canonically sorted.
 
-    Dimension two delegates to the one-dimensional closed form (the same
-    rank-0 formulas); higher dimensions scan every pair p < q.  Every
-    returned subspace is re-verified to be closed, whatever the field.
+    Every pair p < q is scanned; in dimension two the one pair has an
+    empty submatrix and the rank-0 formulas give the one-dimensional
+    answer.  Every returned subspace is re-verified to be closed, whatever
+    the field.
     """
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
@@ -353,16 +384,12 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise DimensionTooSmall(f"codimension-one search needs dimension >= 2, got {n}")
     all_found: list[CodimOneFound] = []
     diags: list[PairDiagnostics] = []
-    if n == 2:
-        found = _rank0_findings(a, 1, 2)
-        all_found.extend(found)
-        diags.append(_rank0_diagnostics(a, 1, 2, found))
-    else:
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                found, diag = _pair_search(a, p, q)
-                all_found.extend(found)
-                diags.append(diag)
+    columns = _value_columns(a)
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            found, diag = _pair_search(a, p, q, columns)
+            all_found.extend(found)
+            diags.append(diag)
     unique: list[CodimOneFound] = []
     for f in all_found:
         if not any(f.subspace == u.subspace for u in unique):

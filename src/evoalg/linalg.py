@@ -1,20 +1,31 @@
 """Dense linear algebra over a FieldSpec: RREF, rank, determinant, inverse.
 
-``rref`` and ``determinant`` share one forward elimination: ``rref``
-finishes it with a back pass over the pivot rows, and ``determinant``
-reads the signed product of its pivots.  Everything is exact over Q and
-F_p.  Over the tolerance-based reals, pivots are chosen by max-magnitude
-partial pivoting among entries above the field tolerance; rank and
-regularity verdicts are therefore tolerance-sensitive there.
+``rref``, ``determinant`` and ``inverse`` share one forward elimination:
+``rref`` and ``inverse`` finish it with a back pass over the pivot rows,
+and ``determinant`` reads the signed product of its pivots.  Elimination
+runs on lists of raw values (``Fraction`` over Q, int residues over F_p,
+floats over R) through one small arithmetic kernel per field, with no
+field check per operation; values become ``FieldScalar`` again once, on
+the way out.  Everything is exact over Q and F_p.  Over the
+tolerance-based reals, pivots are chosen by max-magnitude partial
+pivoting among entries above the field tolerance, so rank and regularity
+verdicts are tolerance-sensitive there, and an operation that overflows
+raises NonFiniteValue.
+
+The rank of a two-column matrix, which decides each pair of the
+codimension-one search, has its own early-exit helper on the same pivot
+rule and row operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import MixedFieldSpecs, NonSquareMatrix, SingularMatrix
-from .field import APPROX_REALS, FieldScalar, FieldSpec, scalar_parse
+from .errors import MixedFieldSpecs, NonFiniteValue, NonSquareMatrix, SingularMatrix
+from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, FieldSpec, scalar_parse
 
 
 class Matrix:
@@ -139,57 +150,209 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-def _pick_pivot(rows, start: int, col: int, approx: bool) -> int:
-    best = -1
-    if approx:
-        best_mag = 0.0
+class _Rationals:
+    """Raw-value arithmetic of one field, as the elimination loops use it.
+
+    This class serves Q (``Fraction`` values); the subclasses serve F_p
+    and R.  ``zero`` and ``one`` have the field's value type, since mixed
+    int and ``Fraction`` operands take a slow path in ``fractions``.
+    ``tol`` is None over the exact fields, where zero means exactly zero,
+    and the absolute tolerance over R.
+    """
+
+    zero, one = Fraction(0), Fraction(1)
+    tol = None
+
+    def is_zero(self, x) -> bool:
+        return x == 0
+
+    def inv(self, x):
+        return self.one / x
+
+    def mul(self, x, y):
+        return x * y
+
+    def scale(self, row, s) -> list:
+        return [x * s for x in row]
+
+    def sub_multiple(self, row, f, prow) -> list:
+        """``row - f * prow``."""
+        return [a - f * b for a, b in zip(row, prow)]
+
+
+class _PrimeField(_Rationals):
+    """Int residues mod p, reduced after every product and difference."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def scale(self, row, s) -> list:
+        p = self.p
+        return [x * s % p for x in row]
+
+    def sub_multiple(self, row, f, prow) -> list:
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(row, prow)]
+
+
+class _Reals(_Rationals):
+    """Floats compared against the tolerance.  Every result is checked:
+    an overflow raises NonFiniteValue at the first infinite or NaN
+    intermediate, as the same ``FieldScalar`` operation would, so no
+    infinity can vanish later into an overwritten entry or a zeroed row.
+    """
+
+    zero, one = 0.0, 1.0
+
+    def __init__(self, tol: float):
+        self.tol = tol
+
+    def is_zero(self, x) -> bool:
+        return abs(x) <= self.tol
+
+    def inv(self, x):
+        return _finite(self.one / x)
+
+    def mul(self, x, y):
+        return _finite(x * y)
+
+    def scale(self, row, s) -> list:
+        out = [x * s for x in row]
+        if not all(map(math.isfinite, out)):
+            for x in out:
+                _finite(x)
+        return out
+
+    def sub_multiple(self, row, f, prow) -> list:
+        out = [a - f * b for a, b in zip(row, prow)]
+        if not all(map(math.isfinite, out)):
+            for a, b in zip(row, prow):
+                _finite(a - _finite(f * b))
+        return out
+
+
+_RATIONALS = _Rationals()
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"real scalar must be finite, got {x!r}")
+    return x
+
+
+def _kernel(spec: FieldSpec) -> _Rationals:
+    if spec.kind == PRIME_FIELD:
+        return _PrimeField(spec.p)
+    if spec.kind == APPROX_REALS:
+        return _Reals(spec.tol)
+    return _RATIONALS
+
+
+def _values(m: Matrix) -> list[list]:
+    return [[x.value for x in row] for row in m.rows()]
+
+
+def _scalars(spec: FieldSpec, values) -> list[FieldScalar]:
+    return [FieldScalar(spec, x) for x in values]
+
+
+def _pick_pivot(rows, start: int, col: int, tol) -> int:
+    """Pivot row for ``col`` among ``rows[start:]``, or -1: the first
+    nonzero entry over the exact fields (``tol`` None), the entry of
+    largest magnitude above ``tol`` over R."""
+    if tol is None:
         for i in range(start, len(rows)):
-            x = rows[i][col]
-            if not x.is_zero() and x.magnitude() > best_mag:
-                best, best_mag = i, x.magnitude()
-    else:
-        for i in range(start, len(rows)):
-            if not rows[i][col].is_zero():
-                best = i
-                break
+            if rows[i][col] != 0:
+                return i
+        return -1
+    best, best_mag = -1, tol
+    for i in range(start, len(rows)):
+        mag = abs(rows[i][col])
+        if mag > best_mag:
+            best, best_mag = i, mag
     return best
 
 
-def _eliminate(rows: list[list[FieldScalar]], spec: FieldSpec) -> tuple[list[int], FieldScalar]:
-    """Forward elimination in place: scale each pivot row to a leading one
-    and clear the rows below it.
+def _eliminate(rows: list[list], kern: _Rationals) -> tuple[list[int], object]:
+    """Forward elimination in place on raw values: scale each pivot row to
+    a leading one and clear the rows below it.
 
     Returns the pivot columns and the product of the pivots, negated once
     per row swap (the determinant when every column has a pivot).
     """
-    approx = spec.kind == APPROX_REALS
-    zero, one = spec.zero(), spec.one()
     nr = len(rows)
     pivots: list[int] = []
-    det = one
+    det = kern.one
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r >= nr:
             break
-        i = _pick_pivot(rows, r, c, approx)
+        i = _pick_pivot(rows, r, c, kern.tol)
         if i < 0:
             continue
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
             det = -det
         piv = rows[r][c]
-        det = det * piv
-        inv = piv.inv()
-        rows[r] = [x * inv for x in rows[r]]
-        rows[r][c] = one
+        det = kern.mul(det, piv)
+        prow = rows[r] = kern.scale(rows[r], kern.inv(piv))
+        prow[c] = kern.one
         for k in range(r + 1, nr):
             f = rows[k][c]
-            if f.value == 0:
-                continue
-            rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-            rows[k][c] = zero
+            if f != 0:
+                rows[k] = kern.sub_multiple(rows[k], f, prow)
+                rows[k][c] = kern.zero
         pivots.append(c)
     return pivots, det
+
+
+def _gauss_jordan(rows: list[list], kern: _Rationals) -> list[int]:
+    """``_eliminate``, then clear the entries above each pivot; returns
+    the pivot columns."""
+    pivots, _ = _eliminate(rows, kern)
+    for r, c in enumerate(pivots):
+        prow = rows[r]
+        for k in range(r):
+            f = rows[k][c]
+            if f != 0:
+                rows[k] = kern.sub_multiple(rows[k], f, prow)
+                rows[k][c] = kern.zero
+    return pivots
+
+
+def _pair_rank(xs: Sequence, ys: Sequence, spec: FieldSpec) -> int:
+    """Rank of the two-column matrix with raw-value columns ``xs``, ``ys``.
+
+    Column 1 pivots as in ``_eliminate``, on row ``(a0, b0)``.  The rank is
+    2 at the first other row whose column-2 residual
+    ``y - x * (b0 * a0^-1)`` is nonzero, so a typical rank-2 matrix is
+    decided after a row or two.  The residual is the column-2 entry of the
+    row operation ``_eliminate`` performs, so over R the rank is bit for
+    bit the one ``rref`` finds.  With no column-1 pivot the rank is 1 when
+    column 2 has a nonzero entry, else 0.
+    """
+    kern = _kernel(spec)
+    rows = list(zip(xs, ys))
+    i = _pick_pivot(rows, 0, 0, kern.tol)
+    if i < 0:
+        return 0 if all(kern.is_zero(y) for y in ys) else 1
+    s = kern.scale((ys[i],), kern.inv(xs[i]))
+    for k, (x, y) in enumerate(rows):
+        if k == i:
+            continue
+        if x != 0:
+            y = kern.sub_multiple((y,), x, s)[0]
+        if not kern.is_zero(y):
+            return 2
+    return 1
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -199,40 +362,39 @@ def rref(m: Matrix) -> RrefResult:
     is unique, so subspace equality reduces to entry-wise comparison.
     """
     spec = m.spec
-    zero = spec.zero()
-    rows = [list(r) for r in m.rows()]
-    pivots, _ = _eliminate(rows, spec)
-    for r, c in enumerate(pivots):
-        for k in range(r):
-            f = rows[k][c]
-            if f.value == 0:
-                continue
-            rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-            rows[k][c] = zero
+    rows = _values(m)
+    pivots = _gauss_jordan(rows, _kernel(spec))
     rank = len(pivots)
-    for k in range(rank, m.nrows):
-        rows[k] = [zero] * m.ncols
-    return RrefResult(Matrix(spec, rows, ncols=m.ncols), rank, tuple(pivots))
+    out = [_scalars(spec, row) for row in rows[:rank]]
+    out.extend([spec.zero()] * m.ncols for _ in range(rank, m.nrows))
+    return RrefResult(Matrix(spec, out, ncols=m.ncols), rank, tuple(pivots))
+
+
+def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
+    """Determinant and pivot count, from one elimination."""
+    if m.nrows != m.ncols:
+        raise NonSquareMatrix(f"determinant of a {m.nrows}x{m.ncols} matrix")
+    pivots, det = _eliminate(_values(m), _kernel(m.spec))
+    rank = len(pivots)
+    return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
 
 
 def determinant(m: Matrix) -> FieldScalar:
     """Determinant as the signed product of the elimination pivots."""
-    if m.nrows != m.ncols:
-        raise NonSquareMatrix(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    pivots, det = _eliminate([list(r) for r in m.rows()], m.spec)
-    return det if len(pivots) == m.nrows else m.spec.zero()
+    return _determinant_and_rank(m)[0]
 
 
 def inverse(m: Matrix) -> Matrix:
     """Matrix inverse via Gauss-Jordan on the augmented matrix."""
     if m.nrows != m.ncols:
         raise NonSquareMatrix(f"inverse of a {m.nrows}x{m.ncols} matrix")
-    spec = m.spec
     n = m.nrows
-    zero, one = spec.zero(), spec.one()
-    aug = [list(m.row(i)) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    res = rref(Matrix(spec, aug, ncols=2 * n))
-    if res.pivot_cols[:n] != tuple(range(n)) or res.rank < n:
+    kern = _kernel(m.spec)
+    rows = [
+        row + [kern.one if j == i else kern.zero for j in range(n)]
+        for i, row in enumerate(_values(m))
+    ]
+    pivots = _gauss_jordan(rows, kern)
+    if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    right = [row[n:] for row in res.rref.rows()]
-    return Matrix(spec, right, ncols=n)
+    return Matrix(m.spec, [_scalars(m.spec, row[n:]) for row in rows], ncols=n)

@@ -1,8 +1,9 @@
 """Shared fixtures, generators, and independent oracles for the tests.
 
 The oracles here (cofactor determinants, the Gaussian-binomial
-recurrence, bisection root finding, kernel counting) deliberately avoid
-the library code paths they are used to check.
+recurrence, bisection root finding, kernel counting, elimination on
+``FieldScalar`` operations) deliberately avoid the library code paths
+they are used to check.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from evoalg import EvolutionAlgebra, FieldSpec, Matrix
+from evoalg import APPROX_REALS, EvolutionAlgebra, FieldSpec, Matrix
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -135,6 +136,65 @@ def random_regular_rational(n, rng: random.Random):
         ]
         if fraction_det(rows) != 0:
             return rows
+
+
+def scalar_elimination(m: Matrix):
+    """Reference Gauss-Jordan elimination written with ``FieldScalar``
+    operations, which check the field on every step.
+
+    It follows the pivot rule and the operation order of ``rref``: the
+    first nonzero entry over exact fields, the largest magnitude above tol
+    over R; the pivot row scaled to a leading one, then the rows below and
+    the rows above cleared.  Returns the reduced rows (zero rows last), the
+    pivot columns, and the determinant (the pivot product with one sign
+    flip per swap, zero without a pivot in every column).
+    """
+    spec = m.spec
+    zero, one = spec.zero(), spec.one()
+    rows = [list(r) for r in m.rows()]
+    pivots = []
+    det = one
+    for c in range(m.ncols):
+        r = len(pivots)
+        if r >= m.nrows:
+            break
+        best, best_mag = -1, 0.0
+        for i in range(r, m.nrows):
+            x = rows[i][c]
+            if x.is_zero():
+                continue
+            if spec.kind != APPROX_REALS:
+                best = i
+                break
+            if abs(x.value) > best_mag:
+                best, best_mag = i, abs(x.value)
+        if best < 0:
+            continue
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
+            det = -det
+        piv = rows[r][c]
+        det = det * piv
+        inv = piv.inv()
+        rows[r] = [x * inv for x in rows[r]]
+        rows[r][c] = one
+        for k in range(r + 1, m.nrows):
+            f = rows[k][c]
+            if f.value != 0:
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rows[k][c] = zero
+        pivots.append(c)
+    for r, c in enumerate(pivots):
+        for k in range(r):
+            f = rows[k][c]
+            if f.value != 0:
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rows[k][c] = zero
+    rank = len(pivots)
+    rows[rank:] = [[zero] * m.ncols for _ in range(rank, m.nrows)]
+    if m.nrows != m.ncols or rank < m.nrows:
+        det = zero
+    return rows, tuple(pivots), det
 
 
 def gaussian_recurrence(n, m, q, _memo={}):

@@ -84,6 +84,15 @@ def test_near_singular_real_algebra_is_not_regular():
     assert not a.is_regular()
 
 
+def test_real_regularity_counts_pivots_not_determinant_size():
+    # Three pivots of 1e-4 are each above tol 1e-9, although their product is not.
+    a = make_algebra(R9, [[1e-4, 0, 0], [0, 1e-4, 0], [0, 0, 1e-4]])
+    assert a.is_regular()
+    assert a.determinant().value == pytest.approx(1e-12, rel=1e-12)
+    # A pivot must still clear the absolute tolerance.
+    assert not make_algebra(R9, [[1e-10, 0], [0, 1]]).is_regular()
+
+
 def test_support():
     a = make_algebra(Q, identity_rows(3))
     assert elem(a, [2, 0, -1]).support() == (1, 3)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import evoalg
+from evoalg import FileFormatError
 from evoalg.cli import AlgebraFile, main
 from support import (
     NEAR_SINGULAR_REAL_ROWS,
@@ -185,6 +186,25 @@ def test_regular_near_singular_reals(tmp_path, capsys):
     path = write_algebra(tmp_path, "sing.alg", REALS, 3, NEAR_SINGULAR_REAL_ROWS)
     code, out, err = run(capsys, "regular", path)
     assert (code, out, err) == (0, "not regular (det = 0)\n", "")
+
+
+def test_regular_small_real_pivots(tmp_path, capsys):
+    path = write_algebra(tmp_path, "small.alg", REALS, 3, [[1e-4, 0, 0], [0, 1e-4, 0], [0, 0, 1e-4]])
+    code, out, err = run(capsys, "regular", path)
+    assert (code, out, err) == (0, "regular (det = 9.9999999999999998e-13)\n", "")
+    code, out, _ = run(capsys, "regular", path, "--json")
+    assert code == 0 and json.loads(out)["regular"] is True
+
+
+def test_boolean_dim_is_rejected(tmp_path, capsys):
+    obj = {"field": {"kind": "Q"}, "dim": True, "matrix": [["2"]]}
+    with pytest.raises(FileFormatError):
+        AlgebraFile.from_json_obj(obj)
+    path = tmp_path / "bool.alg"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "info", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert "dim" in err
 
 
 def test_verify_real_span_at_large_magnitude(tmp_path, capsys):

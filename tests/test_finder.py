@@ -184,7 +184,7 @@ def test_bad_indices_at_every_pair_entry_point(entry, pair):
 
 def test_pair_error_precedence():
     small = make_algebra(Q, identity_rows(2))
-    for entry in (pair_submatrix, codim1_necessary):
+    for entry in (pair_submatrix, codim1_necessary, codim1_for_pair):
         with pytest.raises(DimensionTooSmall):
             entry(small, 1, 1)
     a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)

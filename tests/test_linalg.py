@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from evoalg import (
+    FieldSpec,
     Matrix,
+    NonFiniteValue,
     NonSquareMatrix,
     SingularMatrix,
     determinant,
@@ -17,6 +19,7 @@ from evoalg import (
     matvec,
     rref,
 )
+from evoalg.linalg import _pair_rank
 from support import (
     F2,
     F3,
@@ -28,7 +31,24 @@ from support import (
     SHIFT_NILPOTENT_ROWS,
     fraction_det,
     make_matrix,
+    scalar_elimination,
 )
+
+F7 = FieldSpec.prime_field(7)
+
+
+def _draw(spec, rng):
+    """A random entry: often an exact zero, over R often within a factor of
+    ten of the tolerance."""
+    if rng.random() < 0.3:
+        return 0
+    if spec == Q:
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    if spec == R9:
+        if rng.random() < 0.4:
+            return rng.choice((-1, 1)) * spec.tol * 10 ** rng.uniform(-1, 1)
+        return rng.uniform(-4, 4)
+    return rng.randrange(spec.p)
 
 
 def test_rref_swaps_to_identity():
@@ -211,3 +231,96 @@ def test_empty_matrix_needs_ncols():
     m = Matrix(Q, [], ncols=3)
     assert m.nrows == 0 and m.ncols == 3
     assert rref(m).rank == 0
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
+def test_pair_rank_matches_rref_rank(spec):
+    rng = random.Random(71)
+    for _ in range(500):
+        xs = [_draw(spec, rng) for _ in range(rng.randint(0, 6))]
+        mode = rng.random()
+        if mode < 0.3:
+            ys = [0] * len(xs)
+        elif mode < 0.7:
+            # A multiple of column 1: rank 1 over exact fields; over R the
+            # entries near tol decide which side of the threshold it falls.
+            s = _draw(spec, rng) or 1
+            ys = [x * s for x in xs]
+            if spec == R9:
+                ys = [y + rng.choice((0, spec.tol * 10 ** rng.uniform(-1, 1))) for y in ys]
+        else:
+            ys = [_draw(spec, rng) for _ in xs]
+        m = Matrix.from_rows(spec, [[x, y] for x, y in zip(xs, ys)], ncols=2)
+        xv = [r[0].value for r in m.rows()]
+        yv = [r[1].value for r in m.rows()]
+        assert _pair_rank(xv, yv, spec) == rref(m).rank, m
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
+def test_elimination_matches_scalar_reference(spec):
+    # Same pivots and the same operations in the same order: equal over the
+    # exact fields and bit for bit equal over R (compared through repr, so
+    # that the sign of a zero counts).
+    rng = random.Random(73)
+    for _ in range(150):
+        nrows = rng.randint(0, 5)
+        ncols = nrows if rng.random() < 0.5 and nrows else rng.randint(1, 5)
+        m = Matrix.from_rows(
+            spec, [[_draw(spec, rng) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols
+        )
+        rows, pivots, det = scalar_elimination(m)
+        res = rref(m)
+        assert res.pivot_cols == pivots and res.rank == len(pivots)
+        assert [[repr(x.value) for x in r] for r in res.rref.rows()] == [
+            [repr(x.value) for x in r] for r in rows
+        ]
+        if nrows == ncols:
+            assert repr(determinant(m).value) == repr(det.value)
+
+
+def test_real_overflow_raises_instead_of_vanishing():
+    # Clearing the first column adds 1e308 to 1e308; that infinity must not
+    # be scaled away by the next pivot or zeroed with its row.
+    m = make_matrix(R9, [[1, 1e308], [-1, 1e308]])
+    for op in (rref, determinant, inverse):
+        with pytest.raises(NonFiniteValue):
+            op(m)
+    # Infinities that no later pivot meets: one becomes NaN beside the
+    # second pivot, one sits in a scaled pivot row above a zero row.  Left
+    # unchecked, each would leave a determinant of zero behind.
+    for rows in ([[1, 0, -1e308], [1, 1, 1e308], [1, 0.5, 1e308]], [[1e-5, 1e305], [0, 0]]):
+        with pytest.raises(NonFiniteValue):
+            determinant(make_matrix(R9, rows))
+    # The error names the first non-finite intermediate, as the same
+    # FieldScalar operation would: here the back-pass product 1e308 * 1e308.
+    with pytest.raises(NonFiniteValue, match=r"got inf$"):
+        rref(make_matrix(R9, [[1, 1e308, 0], [0, 1, 1e308]]))
+
+
+def test_real_overflow_matches_scalar_reference():
+    # Huge entries: either both eliminations finish with the same result,
+    # or both stop at the same first non-finite value.
+    def outcome(fn):
+        try:
+            rows, pivots, det = fn()
+        except NonFiniteValue as exc:
+            return str(exc)
+        return [[repr(x.value) for x in r] for r in rows], pivots, repr(det.value)
+
+    def library(m):
+        res = rref(m)
+        return res.rref.rows(), res.pivot_cols, determinant(m)
+
+    rng = random.Random(79)
+    overflows = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        rows = [
+            [rng.choice((0, 1)) * rng.uniform(-1.7, 1.7) * 10 ** rng.uniform(0, 308) for _ in range(n)]
+            for _ in range(n)
+        ]
+        m = make_matrix(R9, rows)
+        expected = outcome(lambda: scalar_elimination(m))
+        overflows += isinstance(expected, str)
+        assert outcome(lambda: library(m)) == expected, rows
+    assert overflows > 30
