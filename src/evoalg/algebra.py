@@ -25,7 +25,7 @@ class EvolutionAlgebra:
     are lazy).
     """
 
-    __slots__ = ("spec", "dim", "structure", "_det", "_rank", "_tinv")
+    __slots__ = ("spec", "dim", "structure", "_values", "_det", "_rank", "_tinv")
 
     def __init__(self, structure: Matrix):
         if structure.nrows != structure.ncols:
@@ -35,6 +35,7 @@ class EvolutionAlgebra:
         self.spec = structure.spec
         self.dim = structure.nrows
         self.structure = structure
+        self._values = tuple(tuple(x.value for x in row) for row in structure.rows())
         self._det = None
         self._rank = None
         self._tinv = None
@@ -60,6 +61,16 @@ class EvolutionAlgebra:
         product of those pivots."""
         self.determinant()
         return self._rank == self.dim
+
+    def _product(self, u, w) -> list:
+        """Product of raw coordinate vectors, through the field's kernel."""
+        kern = self.spec._kernel
+        out = [kern.zero] * self.dim
+        for c_u, c_w, row in zip(u, w, self._values):
+            c = kern.mul(c_u, c_w)
+            if c != 0:
+                out = kern.add_multiple(out, c, row)
+        return out
 
     def transpose_inverse(self) -> Matrix:
         """Inverse of the transposed structure matrix (raises if singular)."""
@@ -164,16 +175,8 @@ class Element:
             return self.scale(other)
         self._same_algebra(other)
         alg = self.algebra
-        n = alg.dim
-        out = [alg.spec.zero()] * n
-        for i in range(n):
-            c = self.coords[i] * other.coords[i]
-            if c.value == 0:
-                continue
-            row = alg.structure.row(i)
-            for j in range(n):
-                out[j] = out[j] + c * row[j]
-        return Element(alg, tuple(out))
+        raw = alg._product([x.value for x in self.coords], [x.value for x in other.coords])
+        return Element(alg, tuple(FieldScalar(alg.spec, x) for x in raw))
 
     def square(self) -> "Element":
         return self * self

@@ -5,6 +5,11 @@ field (``"Fp"``), or floating-point reals compared against a fixed
 tolerance (``"R"``).  Scalars are immutable and carry their spec, so mixing
 values from different fields fails loudly instead of silently coercing.
 
+Each spec holds its field's raw-value kernel (``_Rationals``, ``_PrimeField``,
+``_Reals``): the only code for canonical form, zero test, inverse, reduction
+mod p and the overflow check over R.  ``FieldScalar``, ``linalg``, the
+``Element`` product and ``Subspace`` closure all use it, on raw values.
+
 The module also extracts the nonzero roots of polynomials of degree at
 most three, which is all the root finding the subalgebra search needs:
 rational-root candidates over Q, exhaustive evaluation over F_p, and
@@ -35,20 +40,179 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FRACTION_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
+# Miller-Rabin on the first thirteen primes is exact below the smallest strong
+# pseudoprime to all of them; 318665857834031151167461 passes the first twelve.
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; larger moduli raise ValueError."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"modulus {n} is too large to test for primality")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"real scalar must be finite, got {x!r}")
+    return x
+
+
+class _Rationals:
+    """Raw-value arithmetic of Q.  ``zero`` and ``one`` have the field's
+    value type: mixed int and ``Fraction`` operands are slow."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def canonical(self, value):
+        if isinstance(value, float):
+            raise TypeError("exact rational scalars do not accept floats")
+        return value if isinstance(value, Fraction) else Fraction(value)
+
+    def is_zero(self, x) -> bool:
+        return x == 0
+
+    def inv(self, x):
+        return self.one / x
+
+    def mul(self, x, y):
+        return x * y
+
+    def scale(self, row, s) -> list:
+        return [self.mul(x, s) for x in row]
+
+    def add_multiple(self, row, f, prow) -> list:
+        """``row + f * prow``."""
+        return [a + f * b for a, b in zip(row, prow)]
+
+    def sub_multiple(self, row, f, prow) -> list:
+        """``row - f * prow``."""
+        return self.add_multiple(row, -f, prow)
+
+    def dot(self, xs, ys):
+        """``x1*y1 + x2*y2 + ...``, summed left to right."""
+        acc = [self.zero]
+        for x, y in zip(xs, ys):
+            acc = self.add_multiple(acc, x, (y,))
+        return acc[0]
+
+    def pick_pivot(self, rows, start: int, col: int) -> int:
+        """Pivot row for ``col`` among ``rows[start:]``, or -1: the first
+        nonzero entry."""
+        for i in range(start, len(rows)):
+            if rows[i][col] != 0:
+                return i
+        return -1
+
+    def in_span(self, v, rows, pivots) -> bool:
+        """Whether ``v`` reduces to zero against ``rows``, a reduced row
+        echelon basis with its leading ones at ``pivots``."""
+        return all(x == 0 for x in self._residual(v, rows, pivots))
+
+    def _residual(self, v, rows, pivots) -> list:
+        for row, c in zip(rows, pivots):
+            if v[c] != 0:
+                v = self.sub_multiple(v, v[c], row)
+        return v
+
+
+class _PrimeField(_Rationals):
+    """Int residues mod p, reduced after every product, sum and difference."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def canonical(self, value):
+        return int(value) % self.p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def add_multiple(self, row, f, prow) -> list:
+        p = self.p
+        return [(a + f * b) % p for a, b in zip(row, prow)]
+
+
+class _Reals(_Rationals):
+    """Floats, zero within the absolute tolerance ``tol``.  An overflow
+    raises NonFiniteValue at once, with the first non-finite intermediate
+    that ``FieldScalar`` operations would meet, so no infinity can vanish
+    later into an overwritten entry or a zeroed row."""
+
+    zero, one = 0.0, 1.0
+
+    def __init__(self, tol: float):
+        self.tol = tol
+
+    def canonical(self, value):
+        return _finite(float(value))
+
+    def is_zero(self, x) -> bool:
+        return abs(x) <= self.tol
+
+    def inv(self, x):
+        return _finite(1.0 / x)
+
+    def mul(self, x, y):
+        return _finite(x * y)
+
+    def add_multiple(self, row, f, prow) -> list:
+        out = [a + f * b for a, b in zip(row, prow)]
+        if not all(map(math.isfinite, out)):
+            for a, b in zip(row, prow):
+                _finite(a + _finite(f * b))
+        return out
+
+    def sub_multiple(self, row, f, prow) -> list:
+        # Not add_multiple(row, -f, prow): the product's overflow keeps its sign.
+        out = [a - f * b for a, b in zip(row, prow)]
+        if not all(map(math.isfinite, out)):
+            for a, b in zip(row, prow):
+                _finite(a - _finite(f * b))
+        return out
+
+    def pick_pivot(self, rows, start: int, col: int) -> int:
+        """Pivot row for ``col`` among ``rows[start:]``, or -1: the entry
+        of largest magnitude above ``tol``."""
+        best, best_mag = -1, self.tol
+        for i in range(start, len(rows)):
+            mag = abs(rows[i][col])
+            if mag > best_mag:
+                best, best_mag = i, mag
+        return best
+
+    def in_span(self, v, rows, pivots) -> bool:
+        """Scale-aware: each residual coordinate must be within ``tol``
+        times the largest magnitude among the coordinates of ``v`` and
+        the terms cancelled against them (at least one), so rounding
+        error at large magnitudes is not mistaken for a nonzero residual.
+        The rows are reduced: the term cancelled at pivot c is v[c] * row."""
+        cancelled = [abs(v[c]) * max(map(abs, row)) for row, c in zip(rows, pivots) if v[c] != 0]
+        bound = self.tol * max([1.0, *map(abs, v), *cancelled])
+        return all(abs(x) <= bound for x in self._residual(v, rows, pivots))
 
 
 @dataclass(frozen=True)
@@ -57,7 +221,7 @@ class FieldSpec:
 
     ``kind`` is one of ``"Q"``, ``"Fp"``, ``"R"``.  ``p`` is the prime
     modulus (``Fp`` only), ``tol`` the absolute comparison tolerance
-    (``R`` only).
+    (``R`` only).  The field's kernel is built once, outside equality.
     """
 
     kind: str
@@ -68,11 +232,13 @@ class FieldSpec:
         if self.kind == RATIONALS:
             if self.p is not None or self.tol is not None:
                 raise ValueError("rationals take no field parameters")
+            kernel = _Rationals()
         elif self.kind == PRIME_FIELD:
             if self.tol is not None:
                 raise ValueError("prime fields take no tolerance")
             if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise ValueError(f"modulus must be prime, got {self.p!r}")
+            kernel = _PrimeField(self.p)
         elif self.kind == APPROX_REALS:
             if self.p is not None:
                 raise ValueError("reals take no modulus")
@@ -82,8 +248,10 @@ class FieldSpec:
                 object.__setattr__(self, "tol", tol)
             if not isinstance(tol, float) or not math.isfinite(tol) or tol <= 0:
                 raise ValueError(f"tolerance must be a positive finite float, got {self.tol!r}")
+            kernel = _Reals(tol)
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "_kernel", kernel)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -96,10 +264,6 @@ class FieldSpec:
     @classmethod
     def approx_reals(cls, tol: float = 1e-9) -> "FieldSpec":
         return cls(APPROX_REALS, tol=tol)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind != APPROX_REALS
 
     def zero(self) -> "FieldScalar":
         return FieldScalar(self, 0)
@@ -129,19 +293,8 @@ class FieldScalar:
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value):
-        kind = spec.kind
-        if kind == RATIONALS:
-            if isinstance(value, float):
-                raise TypeError("exact rational scalars do not accept floats")
-            value = value if isinstance(value, Fraction) else Fraction(value)
-        elif kind == PRIME_FIELD:
-            value = int(value) % spec.p
-        else:
-            value = float(value)
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"real scalar must be finite, got {value!r}")
+        self.value = spec._kernel.canonical(value)
         self.spec = spec
-        self.value = value
 
     def _coerce(self, other):
         if isinstance(other, FieldScalar):
@@ -157,14 +310,10 @@ class FieldScalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.spec.kind == APPROX_REALS:
-            return abs(self.value) <= self.spec.tol
-        return self.value == 0
+        return self.spec._kernel.is_zero(self.value)
 
     def is_one(self) -> bool:
-        if self.spec.kind == APPROX_REALS:
-            return abs(self.value - 1.0) <= self.spec.tol
-        return self.value == 1
+        return self.spec._kernel.is_zero(self.value - 1)
 
     def sort_key(self):
         return self.value
@@ -205,12 +354,7 @@ class FieldScalar:
     def inv(self) -> "FieldScalar":
         if self.is_zero():
             raise InversionOfZero(f"cannot invert zero in {self.spec.describe()}")
-        kind = self.spec.kind
-        if kind == RATIONALS:
-            return FieldScalar(self.spec, 1 / self.value)
-        if kind == PRIME_FIELD:
-            return FieldScalar(self.spec, pow(self.value, -1, self.spec.p))
-        return FieldScalar(self.spec, 1.0 / self.value)
+        return FieldScalar(self.spec, self.spec._kernel.inv(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -289,7 +433,7 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
             return FieldScalar(spec, Fraction(num, den))
         if den % spec.p == 0:
             raise ZeroDenominator(f"denominator of {text!r} is zero in {spec.describe()}")
-        return FieldScalar(spec, num * pow(den, -1, spec.p))
+        return FieldScalar(spec, num * spec._kernel.inv(den))
     if _DECIMAL_RE.match(t):
         raise MalformedScalar(f"decimal syntax requires the real field: {text!r}")
     raise MalformedScalar(f"not a scalar: {text!r}")
@@ -513,7 +657,10 @@ def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
 def _real_nonzero_roots(c3: float, c2: float, c1: float, c0: float, tol: float) -> list[float]:
     scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
     if abs(c3) > tol:
-        candidates = _cubic_real_roots(c3, c2, c1, c0)
+        try:
+            candidates = _cubic_real_roots(c3, c2, c1, c0)
+        except OverflowError as exc:
+            raise NonFiniteValue("real root search overflows: cubic coefficients too far apart") from exc
     elif abs(c2) > tol:
         candidates = _quadratic_real_roots(c2, c1, c0)
     elif abs(c1) > tol:

@@ -37,6 +37,7 @@ from .errors import (
     BadIndices,
     DimensionTooSmall,
     MixedAlgebras,
+    NotASubalgebra,
     NotRegular,
     UnsupportedFieldDimension,
     ZeroPair,
@@ -142,18 +143,10 @@ def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> list[tuple[FieldScalar, F
     return [(r[p - 1], r[q - 1]) for i, r in enumerate(a.structure.rows()) if i not in skip]
 
 
-def _value_columns(a: EvolutionAlgebra) -> list[list]:
-    """The raw values of the structure matrix, one list per column."""
-    return [[x.value for x in col] for col in zip(*a.structure.rows())]
-
-
-def _pair_rank_of(a: EvolutionAlgebra, p: int, q: int, columns: list[list]) -> int:
-    """Rank of the pair submatrix, from ``_value_columns(a)`` (p < q)."""
-
-    def outside_pair(col):
-        return col[: p - 1] + col[p : q - 1] + col[q:]
-
-    return _pair_rank(outside_pair(columns[p - 1]), outside_pair(columns[q - 1]), a.spec)
+def _pair_rank_of(a: EvolutionAlgebra, p: int, q: int, columns: list) -> int:
+    """Rank of the pair submatrix, from ``columns = list(zip(*a._values))`` (p < q)."""
+    xs, ys = (c[: p - 1] + c[p : q - 1] + c[q:] for c in (columns[p - 1], columns[q - 1]))
+    return _pair_rank(xs, ys, a.spec)
 
 
 def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
@@ -217,7 +210,7 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     """
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    rank = _pair_rank_of(a, p, q, _value_columns(a))
+    rank = _pair_rank_of(a, p, q, list(zip(*a._values)))
     return PairSubmatrix(p, q, Matrix(a.spec, _pair_rows(a, p, q), ncols=2), rank)
 
 
@@ -280,7 +273,9 @@ def _codim1_subspace(
 ) -> Subspace:
     """Assemble span({e_i : i != p,q} + {v}) (or a coordinate hyperplane
     when ``vec`` is None and ``skip`` names the dropped index) and verify
-    closure; the theory guarantees it, so a failure is a bug.
+    closure; the theory guarantees it, so over exact fields a failure is a
+    bug.  Over R, with entries near tol, the absolute-tolerance rank and
+    root tests can pass a candidate the relative closure test rejects.
     """
     elements = [a.basis_element(i) for i in range(1, a.dim + 1) if i not in (p, q)]
     if vec is None:
@@ -293,6 +288,11 @@ def _codim1_subspace(
         elements.append(Element(a, tuple(coords)))
     sub = Subspace.span(a, elements)
     if sub.dim != a.dim - 1 or not sub.is_subalgebra():
+        if a.spec.kind == APPROX_REALS:
+            raise NotASubalgebra(
+                f"candidate for pair ({p},{q}) is not closed at tolerance {a.spec.tol:g}:"
+                " entries near tol make the verdict tolerance-sensitive"
+            )
         raise AssertionError(f"constructed candidate for pair ({p},{q}) failed verification")
     return sub
 
@@ -336,7 +336,7 @@ def _rank0_diagnostics(a: EvolutionAlgebra, p: int, q: int, found) -> PairDiagno
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, columns: list[list]
+    a: EvolutionAlgebra, p: int, q: int, columns: list
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     p, q = min(p, q), max(p, q)
     rank = _pair_rank_of(a, p, q, columns)
@@ -365,7 +365,7 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
-    found, _ = _pair_search(a, p, q, _value_columns(a))
+    found, _ = _pair_search(a, p, q, list(zip(*a._values)))
     return found
 
 
@@ -384,7 +384,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise DimensionTooSmall(f"codimension-one search needs dimension >= 2, got {n}")
     all_found: list[CodimOneFound] = []
     diags: list[PairDiagnostics] = []
-    columns = _value_columns(a)
+    columns = list(zip(*a._values))
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             found, diag = _pair_search(a, p, q, columns)

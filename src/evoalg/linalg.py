@@ -4,13 +4,14 @@
 ``rref`` and ``inverse`` finish it with a back pass over the pivot rows,
 and ``determinant`` reads the signed product of its pivots.  Elimination
 runs on lists of raw values (``Fraction`` over Q, int residues over F_p,
-floats over R) through one small arithmetic kernel per field, with no
-field check per operation; values become ``FieldScalar`` again once, on
-the way out.  Everything is exact over Q and F_p.  Over the
-tolerance-based reals, pivots are chosen by max-magnitude partial
-pivoting among entries above the field tolerance, so rank and regularity
-verdicts are tolerance-sensitive there, and an operation that overflows
-raises NonFiniteValue.
+floats over R) through the arithmetic kernel the ``FieldSpec`` holds
+(``field._Rationals`` and its subclasses), with no field check per
+operation; values become ``FieldScalar`` again once, on the way out.
+``matvec`` and the matrix product use the same kernel.  Everything is
+exact over Q and F_p.  Over the tolerance-based reals, pivots are chosen
+by max-magnitude partial pivoting among entries above the field
+tolerance, so rank and regularity verdicts are tolerance-sensitive there,
+and an operation that overflows raises NonFiniteValue.
 
 The rank of a two-column matrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
@@ -19,13 +20,11 @@ rule and row operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import MixedFieldSpecs, NonFiniteValue, NonSquareMatrix, SingularMatrix
-from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, FieldSpec, scalar_parse
+from .errors import MixedFieldSpecs, NonSquareMatrix, SingularMatrix
+from .field import APPROX_REALS, FieldScalar, FieldSpec, scalar_parse
 
 
 class Matrix:
@@ -99,18 +98,8 @@ class Matrix:
             raise MixedFieldSpecs("cannot multiply matrices over different fields")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        zero = self.spec.zero()
-        cols = other.transpose().rows()
-        out = []
-        for arow in self._rows:
-            orow = []
-            for bcol in cols:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.spec, out, ncols=other.ncols)
+        cols = other.transpose()
+        return Matrix(self.spec, [matvec(cols, row) for row in self._rows], ncols=other.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -133,14 +122,11 @@ class Matrix:
 def matvec(m: Matrix, v: Sequence[FieldScalar]) -> tuple[FieldScalar, ...]:
     if len(v) != m.ncols:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows}x{m.ncols} matrix")
-    zero = m.spec.zero()
-    out = []
-    for row in m.rows():
-        acc = zero
-        for a, x in zip(row, v):
-            acc = acc + a * x
-        out.append(acc)
-    return tuple(out)
+    spec = m.spec
+    zero = spec.zero()
+    # ``zero + x`` coerces ints and rejects other fields, as scalar products would.
+    xs = [(zero + x).value for x in v]
+    return tuple(FieldScalar(spec, spec._kernel.dot(row, xs)) for row in _values(m))
 
 
 @dataclass(frozen=True)
@@ -148,112 +134,6 @@ class RrefResult:
     rref: Matrix
     rank: int
     pivot_cols: tuple[int, ...]
-
-
-class _Rationals:
-    """Raw-value arithmetic of one field, as the elimination loops use it.
-
-    This class serves Q (``Fraction`` values); the subclasses serve F_p
-    and R.  ``zero`` and ``one`` have the field's value type, since mixed
-    int and ``Fraction`` operands take a slow path in ``fractions``.
-    ``tol`` is None over the exact fields, where zero means exactly zero,
-    and the absolute tolerance over R.
-    """
-
-    zero, one = Fraction(0), Fraction(1)
-    tol = None
-
-    def is_zero(self, x) -> bool:
-        return x == 0
-
-    def inv(self, x):
-        return self.one / x
-
-    def mul(self, x, y):
-        return x * y
-
-    def scale(self, row, s) -> list:
-        return [x * s for x in row]
-
-    def sub_multiple(self, row, f, prow) -> list:
-        """``row - f * prow``."""
-        return [a - f * b for a, b in zip(row, prow)]
-
-
-class _PrimeField(_Rationals):
-    """Int residues mod p, reduced after every product and difference."""
-
-    zero, one = 0, 1
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-    def mul(self, x, y):
-        return x * y % self.p
-
-    def scale(self, row, s) -> list:
-        p = self.p
-        return [x * s % p for x in row]
-
-    def sub_multiple(self, row, f, prow) -> list:
-        p = self.p
-        return [(a - f * b) % p for a, b in zip(row, prow)]
-
-
-class _Reals(_Rationals):
-    """Floats compared against the tolerance.  Every result is checked:
-    an overflow raises NonFiniteValue at the first infinite or NaN
-    intermediate, as the same ``FieldScalar`` operation would, so no
-    infinity can vanish later into an overwritten entry or a zeroed row.
-    """
-
-    zero, one = 0.0, 1.0
-
-    def __init__(self, tol: float):
-        self.tol = tol
-
-    def is_zero(self, x) -> bool:
-        return abs(x) <= self.tol
-
-    def inv(self, x):
-        return _finite(self.one / x)
-
-    def mul(self, x, y):
-        return _finite(x * y)
-
-    def scale(self, row, s) -> list:
-        out = [x * s for x in row]
-        if not all(map(math.isfinite, out)):
-            for x in out:
-                _finite(x)
-        return out
-
-    def sub_multiple(self, row, f, prow) -> list:
-        out = [a - f * b for a, b in zip(row, prow)]
-        if not all(map(math.isfinite, out)):
-            for a, b in zip(row, prow):
-                _finite(a - _finite(f * b))
-        return out
-
-
-_RATIONALS = _Rationals()
-
-
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise NonFiniteValue(f"real scalar must be finite, got {x!r}")
-    return x
-
-
-def _kernel(spec: FieldSpec) -> _Rationals:
-    if spec.kind == PRIME_FIELD:
-        return _PrimeField(spec.p)
-    if spec.kind == APPROX_REALS:
-        return _Reals(spec.tol)
-    return _RATIONALS
 
 
 def _values(m: Matrix) -> list[list]:
@@ -264,24 +144,7 @@ def _scalars(spec: FieldSpec, values) -> list[FieldScalar]:
     return [FieldScalar(spec, x) for x in values]
 
 
-def _pick_pivot(rows, start: int, col: int, tol) -> int:
-    """Pivot row for ``col`` among ``rows[start:]``, or -1: the first
-    nonzero entry over the exact fields (``tol`` None), the entry of
-    largest magnitude above ``tol`` over R."""
-    if tol is None:
-        for i in range(start, len(rows)):
-            if rows[i][col] != 0:
-                return i
-        return -1
-    best, best_mag = -1, tol
-    for i in range(start, len(rows)):
-        mag = abs(rows[i][col])
-        if mag > best_mag:
-            best, best_mag = i, mag
-    return best
-
-
-def _eliminate(rows: list[list], kern: _Rationals) -> tuple[list[int], object]:
+def _eliminate(rows: list[list], kern) -> tuple[list[int], object]:
     """Forward elimination in place on raw values: scale each pivot row to
     a leading one and clear the rows below it.
 
@@ -295,7 +158,7 @@ def _eliminate(rows: list[list], kern: _Rationals) -> tuple[list[int], object]:
         r = len(pivots)
         if r >= nr:
             break
-        i = _pick_pivot(rows, r, c, kern.tol)
+        i = kern.pick_pivot(rows, r, c)
         if i < 0:
             continue
         if i != r:
@@ -314,7 +177,7 @@ def _eliminate(rows: list[list], kern: _Rationals) -> tuple[list[int], object]:
     return pivots, det
 
 
-def _gauss_jordan(rows: list[list], kern: _Rationals) -> list[int]:
+def _gauss_jordan(rows: list[list], kern) -> list[int]:
     """``_eliminate``, then clear the entries above each pivot; returns
     the pivot columns."""
     pivots, _ = _eliminate(rows, kern)
@@ -339,9 +202,9 @@ def _pair_rank(xs: Sequence, ys: Sequence, spec: FieldSpec) -> int:
     bit the one ``rref`` finds.  With no column-1 pivot the rank is 1 when
     column 2 has a nonzero entry, else 0.
     """
-    kern = _kernel(spec)
+    kern = spec._kernel
     rows = list(zip(xs, ys))
-    i = _pick_pivot(rows, 0, 0, kern.tol)
+    i = kern.pick_pivot(rows, 0, 0)
     if i < 0:
         return 0 if all(kern.is_zero(y) for y in ys) else 1
     s = kern.scale((ys[i],), kern.inv(xs[i]))
@@ -363,7 +226,7 @@ def rref(m: Matrix) -> RrefResult:
     """
     spec = m.spec
     rows = _values(m)
-    pivots = _gauss_jordan(rows, _kernel(spec))
+    pivots = _gauss_jordan(rows, spec._kernel)
     rank = len(pivots)
     out = [_scalars(spec, row) for row in rows[:rank]]
     out.extend([spec.zero()] * m.ncols for _ in range(rank, m.nrows))
@@ -374,7 +237,7 @@ def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
     """Determinant and pivot count, from one elimination."""
     if m.nrows != m.ncols:
         raise NonSquareMatrix(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    pivots, det = _eliminate(_values(m), _kernel(m.spec))
+    pivots, det = _eliminate(_values(m), m.spec._kernel)
     rank = len(pivots)
     return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
 
@@ -389,7 +252,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise NonSquareMatrix(f"inverse of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
-    kern = _kernel(m.spec)
+    kern = m.spec._kernel
     rows = [
         row + [kern.one if j == i else kern.zero for j in range(n)]
         for i, row in enumerate(_values(m))

@@ -12,7 +12,6 @@ from typing import Iterable
 
 from .algebra import Element, EvolutionAlgebra
 from .errors import MixedAlgebras, MixedFieldSpecs, NotASubalgebra, NotRegular
-from .field import APPROX_REALS
 from .linalg import Matrix, rref
 
 
@@ -23,7 +22,7 @@ class Subspace:
     ``Subspace.span`` is the usual entry point from elements.
     """
 
-    __slots__ = ("algebra", "basis", "pivot_cols")
+    __slots__ = ("algebra", "basis", "pivot_cols", "_values")
 
     def __init__(self, algebra: EvolutionAlgebra, spanning: Matrix):
         if spanning.spec != algebra.spec:
@@ -36,6 +35,7 @@ class Subspace:
         self.algebra = algebra
         self.basis = Matrix(algebra.spec, res.rref.rows()[: res.rank], ncols=algebra.dim)
         self.pivot_cols = res.pivot_cols
+        self._values = tuple(tuple(x.value for x in row) for row in self.basis.rows())
 
     @classmethod
     def span(cls, algebra: EvolutionAlgebra, elements: Iterable[Element]) -> "Subspace":
@@ -57,38 +57,21 @@ class Subspace:
     def contains(self, u: Element) -> bool:
         """Membership by reduction against the RREF basis.
 
-        Exact fields need an exactly zero residual.  Over R each residual
-        coordinate must be within tol times the largest magnitude among
-        the coordinates of ``u`` and the terms cancelled against them (at
-        least one), so rounding error at large magnitudes is not mistaken
-        for a nonzero residual.
+        Exact fields need an exactly zero residual; over R the residual is
+        measured against the magnitudes cancelled (``field._Reals.in_span``).
         """
         if u.algebra != self.algebra:
             raise MixedAlgebras("element from a different algebra")
-        spec = self.algebra.spec
-        approx = spec.kind == APPROX_REALS
-        zero = spec.zero()
-        v = list(u.coords)
-        scale = 1.0
-        for row, c in zip(self.basis.rows(), self.pivot_cols):
-            f = v[c]
-            if f.value == 0:
-                continue
-            if approx:
-                scale = max(scale, abs(f.value) * max(abs(b.value) for b in row))
-            v = [a - f * b for a, b in zip(v, row)]
-            v[c] = zero
-        if not approx:
-            return all(x.is_zero() for x in v)
-        bound = spec.tol * max(scale, max((abs(x.value) for x in u.coords), default=0.0))
-        return all(abs(x.value) <= bound for x in v)
+        kern = self.algebra.spec._kernel
+        return kern.in_span([x.value for x in u.coords], self._values, self.pivot_cols)
 
     def is_subalgebra(self) -> bool:
         """Closure under the product; basis pairs suffice by bilinearity."""
-        basis = self.basis_elements()
-        for i, u in enumerate(basis):
-            for w in basis[i:]:
-                if not self.contains(u * w):
+        in_span, product = self.algebra.spec._kernel.in_span, self.algebra._product
+        rows = self._values
+        for i, u in enumerate(rows):
+            for w in rows[i:]:
+                if not in_span(product(u, w), rows, self.pivot_cols):
                     return False
         return True
 

@@ -1,9 +1,9 @@
 """Shared fixtures, generators, and independent oracles for the tests.
 
 The oracles here (cofactor determinants, the Gaussian-binomial
-recurrence, bisection root finding, kernel counting, elimination on
-``FieldScalar`` operations) deliberately avoid the library code paths
-they are used to check.
+recurrence, bisection root finding, kernel counting, elimination, the
+algebra product and the closure test on ``FieldScalar`` operations)
+deliberately avoid the library code paths they are used to check.
 """
 
 from __future__ import annotations
@@ -47,6 +47,27 @@ SCALED_1E6_ROWS = [
     ["0", "2e6", "0", "3e6", "0"],
     ["1e6", "0", "1e6", "0", "3e6"],
 ]
+
+
+# Regular real algebras (tol 1e-9) with entries near tol: the codimension-one
+# search accepts a candidate for pair (1,3), respectively (2,3), with its
+# absolute-tolerance rank and root tests that the relative closure test
+# then rejects.
+NEAR_TOL_REAL_ROWS = [
+    [1.5352745633544913e-10, 0, 1.9539072883636717],
+    [-6.089820651362956e-09, 0, 5.734660626594348e-10],
+    [0, -2.707091277220406, 0],
+]
+NEAR_TOL_REAL_ROWS_4 = [
+    [0, -4.6102602285317885e-09, 2.1933233740949725e-09, 0],
+    [0, 1.970295069221839e-09, 0, 0],
+    [0, 0.36536135052580043, -6.838488167816733e-09, 3.9729121443769504],
+    [-2.7750089049617834, 0, 2.0369641048902754e-10, 0],
+]
+
+# Regular real algebra whose one pair has the cubic
+# 1e-8*x^3 - 1e300*x^2 + x: its coefficient ratios overflow a float.
+CUBIC_OVERFLOW_REAL_ROWS = [[1, 0], [1e-8, 1e300]]
 
 
 def identity_rows(n):
@@ -195,6 +216,55 @@ def scalar_elimination(m: Matrix):
     if m.nrows != m.ncols or rank < m.nrows:
         det = zero
     return rows, tuple(pivots), det
+
+
+def scalar_product(u, w):
+    """Reference algebra product written with ``FieldScalar`` operations:
+    the coordinate-wise product pushed through the structure rows, with
+    the zero terms skipped.  Returns the coordinates."""
+    a = u.algebra
+    out = [a.spec.zero()] * a.dim
+    for i in range(a.dim):
+        c = u.coords[i] * w.coords[i]
+        if c.value == 0:
+            continue
+        row = a.structure.row(i)
+        for j in range(a.dim):
+            out[j] = out[j] + c * row[j]
+    return tuple(out)
+
+
+def scalar_contains(sub, coords):
+    """Reference membership test written with ``FieldScalar`` operations:
+    reduction against the RREF basis, an exactly zero residual over exact
+    fields, over R one within tol times the largest magnitude among the
+    coordinates and the cancelled terms (at least one)."""
+    spec = sub.algebra.spec
+    approx = spec.kind == APPROX_REALS
+    v = list(coords)
+    scale = 1.0
+    for row, c in zip(sub.basis.rows(), sub.pivot_cols):
+        f = v[c]
+        if f.value == 0:
+            continue
+        if approx:
+            scale = max(scale, abs(f.value) * max(abs(b.value) for b in row))
+        v = [a - f * b for a, b in zip(v, row)]
+        v[c] = spec.zero()
+    if not approx:
+        return all(x.is_zero() for x in v)
+    bound = spec.tol * max(scale, max((abs(x.value) for x in coords), default=0.0))
+    return all(abs(x.value) <= bound for x in v)
+
+
+def scalar_is_subalgebra(sub):
+    """Reference closure test: every product of two basis elements."""
+    basis = sub.basis_elements()
+    for i, u in enumerate(basis):
+        for w in basis[i:]:
+            if not scalar_contains(sub, scalar_product(u, w)):
+                return False
+    return True
 
 
 def gaussian_recurrence(n, m, q, _memo={}):

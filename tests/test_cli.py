@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ import evoalg
 from evoalg import FileFormatError
 from evoalg.cli import AlgebraFile, main
 from support import (
+    CUBIC_OVERFLOW_REAL_ROWS,
     NEAR_SINGULAR_REAL_ROWS,
+    NEAR_TOL_REAL_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
     SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
@@ -23,13 +26,17 @@ from support import (
 REALS = {"kind": "R", "tol": 1e-9}
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """``python -m evoalg`` in a child that imports the same package as this
     process, whether it comes from an install or from pytest's path."""
     path = [str(Path(evoalg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "evoalg", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "evoalg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 
@@ -205,6 +212,47 @@ def test_boolean_dim_is_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "info", str(path), "--json")
     assert (code, out) == (2, "")
     assert "dim" in err
+
+
+def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
+    path = write_algebra(tmp_path, "ovf.alg", REALS, 2, CUBIC_OVERFLOW_REAL_ROWS)
+    code, out, err = run(capsys, "codim1", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: real root search overflows") and err.count("\n") == 1
+
+
+def test_codim1_real_candidate_failing_closure_is_one_line_error(tmp_path, capsys):
+    path = write_algebra(tmp_path, "neartol.alg", REALS, 3, NEAR_TOL_REAL_ROWS)
+    code, out, err = run(capsys, "codim1", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: candidate for pair (1,3)") and err.count("\n") == 1
+
+
+# Large moduli are read in a child with a time limit, so a primality test
+# that stalls fails the test instead of stalling the suite.
+def test_regular_over_large_prime_answers_quickly(tmp_path):
+    p = 2**61 - 1
+    path = write_algebra(tmp_path, "bigp.alg", {"kind": "Fp", "p": p}, 2, [[1, 2], [3, 4]])
+    start = time.perf_counter()
+    proc = run_module("regular", path, timeout=5)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, f"regular (det = {p - 2})\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "p, reason",
+    [
+        # A strong pseudoprime to every prime base up to 37.
+        (318665857834031151167461, "must be prime"),
+        (2**127 - 1, "too large"),
+    ],
+)
+def test_unusable_large_modulus_is_usage_error(tmp_path, p, reason):
+    path = write_algebra(tmp_path, "hugep.alg", {"kind": "Fp", "p": p}, 1, [[1]])
+    proc = run_module("regular", path, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert reason in proc.stderr and proc.stderr.count("\n") == 1
 
 
 def test_verify_real_span_at_large_magnitude(tmp_path, capsys):

@@ -15,10 +15,12 @@ from evoalg import (
     LowDegreePoly,
     MalformedScalar,
     MixedFieldSpecs,
+    NonFiniteValue,
     ZeroDenominator,
     nonzero_roots,
     scalar_parse,
 )
+from evoalg.field import _is_prime
 from support import F2, F3, F5, Q, R9, bisect_root
 
 
@@ -280,3 +282,32 @@ def test_poly_render():
 def test_nonfinite_parse_rejected():
     with pytest.raises(MalformedScalar):
         scalar_parse("1e999", R9)
+
+
+def test_real_cubic_overflow_raises_nonfinite():
+    # x * (1e-8*x^2 - 1e300*x + 1): normalizing by the leading coefficient
+    # overflows the float range.
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        nonzero_roots(_poly(R9, 1e-8, -1e300, 1, 0))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if _is_prime(n)] == [
+        n for n in range(20_000) if _trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to base 2, to bases 2..7, and to bases 2..31.
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+
+
+def test_prime_modulus_beyond_certified_range_rejected():
+    # The size is refused before any primality test runs.
+    with pytest.raises(ValueError, match="too large"):
+        FieldSpec.prime_field(10**25)

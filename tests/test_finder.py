@@ -15,6 +15,7 @@ from evoalg import (
     BadIndices,
     DimensionTooSmall,
     FieldSpec,
+    NotASubalgebra,
     NotRegular,
     Subspace,
     UnsupportedFieldDimension,
@@ -32,6 +33,8 @@ from evoalg import (
 from support import (
     F2,
     F3,
+    NEAR_TOL_REAL_ROWS,
+    NEAR_TOL_REAL_ROWS_4,
     NO_CODIM1_OVER_Q_ROWS,
     Q,
     R9,
@@ -509,3 +512,15 @@ def test_rank1_vector_is_normalized():
     report = enumerate_codim1(a)
     d = {(x.p, x.q): x for x in report.diagnostics}[(1, 2)]
     assert [x.value for x in d.row] == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "rows, pair", [(NEAR_TOL_REAL_ROWS, (1, 3)), (NEAR_TOL_REAL_ROWS_4, (2, 3))], ids=["n3", "n4"]
+)
+def test_real_candidate_failing_closure_is_a_domain_error(rows, pair):
+    a = make_algebra(R9, rows)
+    with pytest.raises(NotASubalgebra) as info:
+        enumerate_codim1(a)
+    message = str(info.value)
+    assert f"pair ({pair[0]},{pair[1]})" in message
+    assert "1e-09" in message and "tolerance-sensitive" in message

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from evoalg import (
+    EvoAlgError,
+    FieldSpec,
     MixedAlgebras,
     NotASubalgebra,
     NotRegular,
@@ -17,13 +20,19 @@ from support import (
     F2,
     F3,
     Q,
+    R9,
     SHIFT_NILPOTENT_ROWS,
     all_regular_structures,
     elem,
     identity_rows,
     make_algebra,
     random_regular_fp,
+    scalar_contains,
+    scalar_is_subalgebra,
+    scalar_product,
 )
+
+F7 = FieldSpec.prime_field(7)
 
 
 def _span(algebra, *vectors):
@@ -187,3 +196,58 @@ def test_render():
     a = make_algebra(Q, identity_rows(3))
     assert _span(a, [1, 1, 0], [0, 0, 1]).render() == "span{e1 + e2, e3}"
     assert Subspace.span(a, []).render() == "span{}"
+
+
+def _draw(spec, rng):
+    """A random entry: often an exact zero; over R often within a factor
+    of ten of the tolerance, sometimes near 1e300."""
+    r = rng.random()
+    if r < 0.35:
+        return 0
+    if spec == Q:
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+    if spec != R9:
+        return rng.randrange(spec.p)
+    if r < 0.55:
+        return rng.choice((-1, 1)) * spec.tol * 10 ** rng.uniform(-1, 1)
+    if r < 0.65:
+        return rng.choice((-1, 1)) * 10 ** rng.uniform(300, 308)
+    return rng.uniform(-4, 4)
+
+
+def _outcome(f):
+    """The result, raw values by ``repr`` (bit for bit over R, sign of
+    zero included), or the error by type and message."""
+    try:
+        r = f()
+    except EvoAlgError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(r, tuple):
+        return [repr(x.value) for x in r]
+    return r
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
+def test_product_and_closure_match_scalar_reference(spec):
+    rng = random.Random(83)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        a = make_algebra(spec, [[_draw(spec, rng) for _ in range(n)] for _ in range(n)])
+        els = [a.element([_draw(spec, rng) for _ in range(n)]) for _ in range(3)]
+        els += [a.basis_element(i) for i in range(1, n + 1)]
+        for u in els[:4]:
+            for w in els:
+                assert _outcome(lambda: (u * w).coords) == _outcome(lambda: scalar_product(u, w))
+        for _ in range(3):
+            k = rng.randint(0, n)
+            spanning = rng.sample(els[3:], k) if rng.random() < 0.6 else els[:k]
+            try:
+                sub = Subspace.span(a, spanning)
+            except EvoAlgError:
+                continue
+            want = _outcome(lambda: scalar_is_subalgebra(sub))
+            assert _outcome(sub.is_subalgebra) == want
+            for u in els + list(sub.basis_elements()):
+                assert _outcome(lambda: sub.contains(u)) == _outcome(
+                    lambda: scalar_contains(sub, u.coords)
+                )
