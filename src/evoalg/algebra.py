@@ -3,7 +3,9 @@
 An algebra of dimension n is defined by a square structure matrix whose
 row i holds the coordinates of the square of the i-th basis vector; the
 product of two distinct basis vectors is zero.  Basis indices are 1-based
-in the public API, matching the usual e_1..e_n notation.
+in the public API, matching the usual e_1..e_n notation.  An ``Element``
+stores raw coordinates (see ``field``) and multiplies them through the
+kernel; ``Element.coords`` creates ``FieldScalar`` on the way out.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .errors import MixedAlgebras, MixedFieldSpecs, NonSquareStructure
-from .field import FieldScalar, FieldSpec, _render_terms, scalar_parse
+from .errors import MixedAlgebras, NonSquareStructure
+from .field import FieldScalar, FieldSpec, _coerced_value, _render_terms, _value_of
 from .linalg import Matrix
 
 
@@ -25,20 +27,15 @@ class EvolutionAlgebra:
     are lazy).
     """
 
-    __slots__ = ("spec", "dim", "structure", "_values", "_det", "_rank", "_tinv")
+    __slots__ = ("spec", "dim", "structure", "_det", "_rank", "_tinv")
 
     def __init__(self, structure: Matrix):
         if structure.nrows != structure.ncols:
             raise NonSquareStructure(
                 f"structure matrix must be square, got {structure.nrows}x{structure.ncols}"
             )
-        self.spec = structure.spec
-        self.dim = structure.nrows
-        self.structure = structure
-        self._values = tuple(tuple(x.value for x in row) for row in structure.rows())
-        self._det = None
-        self._rank = None
-        self._tinv = None
+        self.spec, self.dim, self.structure = structure.spec, structure.nrows, structure
+        self._det = self._rank = self._tinv = None
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows) -> "EvolutionAlgebra":
@@ -66,7 +63,7 @@ class EvolutionAlgebra:
         """Product of raw coordinate vectors, through the field's kernel."""
         kern = self.spec._kernel
         out = [kern.zero] * self.dim
-        for c_u, c_w, row in zip(u, w, self._values):
+        for c_u, c_w, row in zip(u, w, self.structure._rows):
             c = kern.mul(c_u, c_w)
             if c != 0:
                 out = kern.add_multiple(out, c, row)
@@ -80,27 +77,16 @@ class EvolutionAlgebra:
 
     def element(self, values: Sequence) -> "Element":
         """Element with the given coordinates (scalars, ints, or strings)."""
-        coords = []
-        for x in values:
-            if isinstance(x, FieldScalar):
-                if x.spec != self.spec:
-                    raise MixedFieldSpecs("coordinate from a different field")
-                coords.append(x)
-            elif isinstance(x, str):
-                coords.append(scalar_parse(x, self.spec))
-            else:
-                coords.append(FieldScalar(self.spec, x))
-        return Element(self, tuple(coords))
+        return Element._of(self, tuple(_coerced_value(self.spec, x) for x in values))
 
     def basis_element(self, i: int) -> "Element":
         """The i-th natural basis vector e_i (1-based)."""
         if not 1 <= i <= self.dim:
             raise IndexError(f"basis index {i} out of range 1..{self.dim}")
-        zero, one = self.spec.zero(), self.spec.one()
-        return Element(self, tuple(one if j == i - 1 else zero for j in range(self.dim)))
+        return Element._of(self, Matrix.identity(self.spec, self.dim)._rows[i - 1])
 
     def zero_element(self) -> "Element":
-        return Element(self, (self.spec.zero(),) * self.dim)
+        return Element._of(self, (self.spec._kernel.zero,) * self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, EvolutionAlgebra):
@@ -114,19 +100,34 @@ class EvolutionAlgebra:
         return f"EvolutionAlgebra(dim={self.dim}, field={self.spec.describe()})"
 
 
-class Element:
-    """An algebra element given by coordinates in the natural basis."""
+def _dim_checked(algebra: EvolutionAlgebra, coords) -> tuple:
+    if len(coords) != algebra.dim:
+        raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
+    return tuple(coords)
 
-    __slots__ = ("algebra", "coords")
+
+class Element:
+    """An algebra element given by coordinates in the natural basis: raw
+    values inside, ``FieldScalar`` through ``coords``."""
+
+    __slots__ = ("algebra", "_coords")
 
     def __init__(self, algebra: EvolutionAlgebra, coords: tuple[FieldScalar, ...]):
-        if len(coords) != algebra.dim:
-            raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
-        for x in coords:
-            if x.spec != algebra.spec:
-                raise MixedFieldSpecs("coordinates must live in the algebra's field")
-        self.algebra = algebra
-        self.coords = coords
+        values = [_value_of(algebra.spec, x) for x in coords]
+        self.algebra, self._coords = algebra, _dim_checked(algebra, values)
+
+    @classmethod
+    def _of(cls, algebra: EvolutionAlgebra, coords) -> "Element":
+        """The element with canonical raw coordinates ``coords``, unchecked
+        but for their number."""
+        e = object.__new__(cls)
+        e.algebra, e._coords = algebra, _dim_checked(algebra, coords)
+        return e
+
+    @property
+    def coords(self) -> tuple[FieldScalar, ...]:
+        spec = self.algebra.spec
+        return tuple(FieldScalar(spec, x) for x in self._coords)
 
     def _same_algebra(self, other: "Element"):
         if not isinstance(other, Element):
@@ -135,29 +136,29 @@ class Element:
             raise MixedAlgebras("elements belong to different algebras")
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
+        return all(map(self.algebra.spec._kernel.is_zero, self._coords))
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero coordinates, ascending."""
-        return tuple(i + 1 for i, x in enumerate(self.coords) if not x.is_zero())
+        is_zero = self.algebra.spec._kernel.is_zero
+        return tuple(i + 1 for i, x in enumerate(self._coords) if not is_zero(x))
 
     def __add__(self, other):
         self._same_algebra(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        kern = self.algebra.spec._kernel
+        return Element._of(self.algebra, kern.add_multiple(self._coords, kern.one, other._coords))
 
     def __sub__(self, other):
         self._same_algebra(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        kern = self.algebra.spec._kernel
+        return Element._of(self.algebra, kern.sub_multiple(self._coords, kern.one, other._coords))
 
     def __neg__(self):
-        return Element(self.algebra, tuple(-a for a in self.coords))
+        return self.scale(-1)
 
     def scale(self, c) -> "Element":
-        if isinstance(c, int):
-            c = self.algebra.spec.from_int(c)
-        if not isinstance(c, FieldScalar) or c.spec != self.algebra.spec:
-            raise MixedFieldSpecs("scale factor must live in the algebra's field")
-        return Element(self.algebra, tuple(c * a for a in self.coords))
+        spec = self.algebra.spec
+        return Element._of(self.algebra, spec._kernel.scale(self._coords, _value_of(spec, c, ints=True)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldScalar)):
@@ -174,9 +175,7 @@ class Element:
         if isinstance(other, (int, FieldScalar)):
             return self.scale(other)
         self._same_algebra(other)
-        alg = self.algebra
-        raw = alg._product([x.value for x in self.coords], [x.value for x in other.coords])
-        return Element(alg, tuple(FieldScalar(alg.spec, x) for x in raw))
+        return Element._of(self.algebra, self.algebra._product(self._coords, other._coords))
 
     def square(self) -> "Element":
         return self * self
@@ -184,14 +183,15 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
+        return self.algebra == other.algebra and self.algebra.spec._kernel.eq(self._coords, other._coords)
 
     def __hash__(self):
-        return hash((self.algebra, tuple(hash(x) for x in self.coords)))
+        return hash((self.algebra, self.algebra.spec._kernel.hash(self._coords)))
 
     def render(self) -> str:
         """Linear-combination text like ``e1 - 1/2*e3`` (``0`` when zero)."""
-        return _render_terms((coeff, f"e{i}") for i, coeff in enumerate(self.coords, start=1))
+        units = (f"e{i}" for i in range(1, self.algebra.dim + 1))
+        return _render_terms(self.algebra.spec._kernel, zip(self._coords, units))
 
     def __str__(self):
         return self.render()

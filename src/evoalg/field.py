@@ -5,10 +5,14 @@ field (``"Fp"``), or floating-point reals compared against a fixed
 tolerance (``"R"``).  Scalars are immutable and carry their spec, so mixing
 values from different fields fails loudly instead of silently coercing.
 
-Each spec holds its field's raw-value kernel (``_Rationals``, ``_PrimeField``,
-``_Reals``): the only code for canonical form, zero test, inverse, reduction
-mod p and the overflow check over R.  ``FieldScalar``, ``linalg``, the
-``Element`` product and ``Subspace`` closure all use it, on raw values.
+The library has one representation: raw values (``Fraction`` over Q, int
+residues over F_p, floats over R), stored by ``Matrix``, ``Element`` and
+``Subspace`` and computed on by the spec's kernel (``_Rationals``,
+``_PrimeField``, ``_Reals``), the only code for canonical form, zero test,
+equality and its hash (over R ``|a - b| <= tol``), inverse, reduction mod
+p, rendering and the overflow check over R.  A ``FieldScalar`` is a value
+at the API boundary: public constructors unwrap it once (``_value_of``,
+``_coerced_value``); accessors, diagnostics and rendering create it.
 
 The module also extracts the nonzero roots of polynomials of degree at
 most three, which is all the root finding the subalgebra search needs:
@@ -89,6 +93,17 @@ class _Rationals:
 
     def is_zero(self, x) -> bool:
         return x == 0
+
+    def eq(self, xs, ys) -> bool:
+        """Entry-wise equality of two tuples of raw values."""
+        return xs == ys
+
+    def hash(self, xs) -> int:
+        """A hash of a tuple of raw values that ``eq`` respects."""
+        return hash(xs)
+
+    def render(self, x) -> str:
+        return str(x)
 
     def inv(self, x):
         return self.one / x
@@ -172,6 +187,18 @@ class _Reals(_Rationals):
 
     def is_zero(self, x) -> bool:
         return abs(x) <= self.tol
+
+    def eq(self, xs, ys) -> bool:
+        """Entry-wise ``|a - b| <= tol``."""
+        tol = self.tol
+        return xs == ys or (len(xs) == len(ys) and all(abs(a - b) <= tol for a, b in zip(xs, ys)))
+
+    def hash(self, xs) -> int:
+        # Equality within tol is not transitive: only the length is safe.
+        return len(xs)
+
+    def render(self, x) -> str:
+        return format(x, ".17g")
 
     def inv(self, x):
         return _finite(1.0 / x)
@@ -287,7 +314,7 @@ class FieldScalar:
 
     Values are canonical: reduced ``Fraction`` with positive denominator
     over Q, residue in ``[0, p)`` over F_p, finite ``float`` over R.
-    Equality over R means ``|a - b| <= tol``.
+    Equality and hashing are the kernel's: over R, ``|a - b| <= tol``.
     """
 
     __slots__ = ("spec", "value")
@@ -296,16 +323,9 @@ class FieldScalar:
         self.value = spec._kernel.canonical(value)
         self.spec = spec
 
-    def _coerce(self, other):
-        if isinstance(other, FieldScalar):
-            if other.spec != self.spec:
-                raise MixedFieldSpecs(
-                    f"operands from different fields: {self.spec.describe()} vs {other.spec.describe()}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldScalar(self.spec, other)
-        return None
+    def _operand(self, other):
+        """Raw value of an int or a scalar of this field, None for any other type."""
+        return _value_of(self.spec, other, ints=True) if isinstance(other, (int, FieldScalar)) else None
 
     # -- predicates ---------------------------------------------------
 
@@ -315,36 +335,25 @@ class FieldScalar:
     def is_one(self) -> bool:
         return self.spec._kernel.is_zero(self.value - 1)
 
-    def sort_key(self):
-        return self.value
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.spec, self.value + other.value)
+        v = self._operand(other)
+        return NotImplemented if v is None else FieldScalar(self.spec, self.value + v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.spec, self.value - other.value)
+        v = self._operand(other)
+        return NotImplemented if v is None else FieldScalar(self.spec, self.value - v)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.spec, other.value - self.value)
+        v = self._operand(other)
+        return NotImplemented if v is None else FieldScalar(self.spec, v - self.value)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.spec, self.value * other.value)
+        v = self._operand(other)
+        return NotImplemented if v is None else FieldScalar(self.spec, self.value * v)
 
     __rmul__ = __mul__
 
@@ -357,10 +366,8 @@ class FieldScalar:
         return FieldScalar(self.spec, self.spec._kernel.inv(self.value))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
+        v = self._operand(other)
+        return NotImplemented if v is None else self * FieldScalar(self.spec, v).inv()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -379,29 +386,40 @@ class FieldScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        if other.spec != self.spec:
-            return False
-        if self.spec.kind == APPROX_REALS:
-            return abs(self.value - other.value) <= self.spec.tol
-        return self.value == other.value
+        return other.spec == self.spec and self.spec._kernel.eq((self.value,), (other.value,))
 
     def __hash__(self):
-        # Tolerance-based equality over R cannot hash by value; collapse to
-        # the spec so the eq/hash contract still holds.
-        if self.spec.kind == APPROX_REALS:
-            return hash(self.spec)
-        return hash((self.spec, self.value))
+        return hash((self.spec, self.spec._kernel.hash((self.value,))))
 
     def render(self) -> str:
-        if self.spec.kind == APPROX_REALS:
-            return format(self.value, ".17g")
-        return str(self.value)
+        return self.spec._kernel.render(self.value)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"FieldScalar({self.spec.describe()}, {self.render()})"
+
+
+def _value_of(spec: FieldSpec, x, *, ints: bool = False):
+    """The raw value of ``x``, which must be a FieldScalar of ``spec`` (or,
+    with ``ints``, an int)."""
+    if ints and isinstance(x, int):
+        return spec._kernel.canonical(x)
+    if not isinstance(x, FieldScalar):
+        raise TypeError(f"expected a FieldScalar, got {type(x).__name__}")
+    if x.spec != spec:
+        raise MixedFieldSpecs(f"scalar over {x.spec.describe()} where {spec.describe()} is expected")
+    return x.value
+
+
+def _coerced_value(spec: FieldSpec, x):
+    """``_value_of``, but also for scalar text and plain numbers."""
+    if isinstance(x, FieldScalar):
+        return _value_of(spec, x)
+    if isinstance(x, str):
+        return scalar_parse(x, spec).value
+    return spec._kernel.canonical(x)
 
 
 def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
@@ -473,9 +491,8 @@ class LowDegreePoly:
         return nonzero_roots(self)
 
     def render(self, var: str = "x") -> str:
-        return _render_terms(
-            ((self.c3, f"{var}^3"), (self.c2, f"{var}^2"), (self.c1, var), (self.c0, ""))
-        )
+        coeffs = (c.value for c in self.coefficients())
+        return _render_terms(self.spec._kernel, zip(coeffs, (f"{var}^3", f"{var}^2", var, "")))
 
     def __eq__(self, other):
         if not isinstance(other, LowDegreePoly):
@@ -489,35 +506,23 @@ class LowDegreePoly:
         return f"LowDegreePoly({self.render()} over {self.spec.describe()})"
 
 
-def _signed_render(coeff: FieldScalar) -> tuple[bool, str]:
-    """Split a coefficient into (is_negative, magnitude_text) for display."""
-    if coeff.spec.kind == PRIME_FIELD:
-        return False, coeff.render()
-    if coeff.value < 0:
-        return True, (-coeff).render()
-    return False, coeff.render()
-
-
-def _render_terms(terms) -> str:
-    """Linear-combination text from (coefficient, unit) pairs.
+def _render_terms(kern, terms) -> str:
+    """Linear-combination text from (raw coefficient, unit) pairs.
 
     Zero coefficients are skipped, a coefficient of one is dropped before
     a nonempty unit, and an empty unit leaves the bare coefficient.  Terms
     join as ``-t`` first, then ``- t`` / ``+ t``; no terms gives ``0``.
     """
     parts: list[str] = []
-    for coeff, unit in terms:
-        if coeff.is_zero():
+    for x, unit in terms:
+        if kern.is_zero(x):
             continue
-        negative, mag = _signed_render(coeff)
-        if not unit:
-            term = mag
-        else:
-            term = unit if mag == "1" else f"{mag}*{unit}"
+        mag = kern.render(-x if x < 0 else x)
+        term = mag if not unit else unit if mag == "1" else f"{mag}*{unit}"
         if not parts:
-            parts.append(f"-{term}" if negative else term)
+            parts.append(f"-{term}" if x < 0 else term)
         else:
-            parts.append(f"- {term}" if negative else f"+ {term}")
+            parts.append(f"- {term}" if x < 0 else f"+ {term}")
     return " ".join(parts) if parts else "0"
 
 

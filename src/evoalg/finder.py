@@ -24,11 +24,14 @@ Dimension two is the same pair scan: the submatrix has no rows, so the
 single pair has rank 0, and the rank-0 formulas yield the complete list of
 one-dimensional subalgebras.  Over prime fields, one-dimensional
 subalgebras of any dimension are found by scanning projective
-representatives directly.
+representatives directly, refused with TooLarge above
+``DEFAULT_MAX_SUBSPACES`` lines.  The scans and the candidates run on raw
+values; ``FieldScalar`` appears only in findings and diagnostics.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,11 +42,13 @@ from .errors import (
     MixedAlgebras,
     NotASubalgebra,
     NotRegular,
+    TooLarge,
     UnsupportedFieldDimension,
     ZeroPair,
 )
-from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, nonzero_roots
-from .linalg import Matrix, _pair_rank, matvec
+from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
+from .linalg import Matrix, _pair_rank
+from .oracle import DEFAULT_MAX_SUBSPACES
 from .subspace import Subspace
 
 CASE_ROW = "rank1-row"
@@ -136,15 +141,15 @@ def _check_pair_with_rows(a: EvolutionAlgebra, p: int, q: int) -> None:
     _check_pair(a, p, q)
 
 
-def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> list[tuple[FieldScalar, FieldScalar]]:
-    """Columns p, q (1-based, p < q) of the structure matrix without rows
-    p, q, in their original order."""
+def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> tuple[tuple, ...]:
+    """Columns p, q (1-based) of the structure matrix without rows p, q,
+    in their original order, as raw values."""
     skip = (p - 1, q - 1)
-    return [(r[p - 1], r[q - 1]) for i, r in enumerate(a.structure.rows()) if i not in skip]
+    return tuple((r[p - 1], r[q - 1]) for i, r in enumerate(a.structure._rows) if i not in skip)
 
 
 def _pair_rank_of(a: EvolutionAlgebra, p: int, q: int, columns: list) -> int:
-    """Rank of the pair submatrix, from ``columns = list(zip(*a._values))`` (p < q)."""
+    """Rank of the pair submatrix, from the structure matrix's raw columns (p < q)."""
     xs, ys = (c[: p - 1] + c[p : q - 1] + c[q:] for c in (columns[p - 1], columns[q - 1]))
     return _pair_rank(xs, ys, a.spec)
 
@@ -160,8 +165,9 @@ def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
         raise MixedAlgebras("element from a different algebra")
     if not a.is_regular():
         raise NotRegular("one-dimensional residual needs a regular algebra")
-    lin = matvec(a.transpose_inverse(), x.coords)
-    return Element(a, tuple(c * c - l for c, l in zip(x.coords, lin)))
+    kern = a.spec._kernel
+    lin = [kern.dot(row, x._coords) for row in a.transpose_inverse()._rows]
+    return Element._of(a, kern.sub_multiple([kern.mul(c, c) for c in x._coords], kern.one, lin))
 
 
 def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
@@ -176,30 +182,27 @@ def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
     if a.spec.kind == PRIME_FIELD:
         return _lines_by_enumeration(a)
     if a.dim == 2:
-        lines = [found.subspace for found in _rank0_findings(a, 1, 2)]
-        lines.sort(key=Subspace.sort_key)
-        return lines
+        return sorted((found.subspace for found in _rank0_findings(a, 1, 2)), key=Subspace.sort_key)
     raise UnsupportedFieldDimension(
         f"one-dimensional search over {a.spec.describe()} supports dimension 2 only"
     )
 
 
 def _lines_by_enumeration(a: EvolutionAlgebra) -> list[Subspace]:
-    p = a.spec.p
-    n = a.dim
-    scalars = [a.spec.from_int(k) for k in range(p)]
+    """Every line span{u}, u with leading coordinate 1, that contains u^2;
+    refused with TooLarge above ``DEFAULT_MAX_SUBSPACES`` lines."""
+    p, n = a.spec.p, a.dim
+    count = (p**n - 1) // (p - 1)
+    if count > DEFAULT_MAX_SUBSPACES:
+        raise TooLarge(f"{count} lines exceed the guard of {DEFAULT_MAX_SUBSPACES}")
     out = []
     for lead in range(n):
         for tail in itertools.product(range(p), repeat=n - lead - 1):
-            coords = (
-                [scalars[0]] * lead + [scalars[1]] + [scalars[t] for t in tail]
-            )
-            u = Element(a, tuple(coords))
-            line = Subspace.span(a, [u])
+            u = Element._of(a, (0,) * lead + (1,) + tail)
+            line = Subspace._canonical(a, (u._coords,), (lead,))
             if line.contains(u * u):
                 out.append(line)
-    out.sort(key=Subspace.sort_key)
-    return out
+    return sorted(out, key=Subspace.sort_key)
 
 
 def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
@@ -210,20 +213,22 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     """
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    rank = _pair_rank_of(a, p, q, list(zip(*a._values)))
-    return PairSubmatrix(p, q, Matrix(a.spec, _pair_rows(a, p, q), ncols=2), rank)
+    rank = _pair_rank_of(a, p, q, list(zip(*a.structure._rows)))
+    return PairSubmatrix(p, q, Matrix._trusted(a.spec, _pair_rows(a, p, q), 2), rank)
 
 
-def _closure_sides(
-    a: EvolutionAlgebra, p: int, q: int, alpha: FieldScalar, beta: FieldScalar
-) -> tuple[FieldScalar, FieldScalar]:
-    app = a.structure_constant(p, p)
-    apq = a.structure_constant(p, q)
-    aqp = a.structure_constant(q, p)
-    aqq = a.structure_constant(q, q)
-    lhs = alpha * alpha * beta * app + beta * beta * beta * aqp
-    rhs = alpha * alpha * alpha * apq + alpha * beta * beta * aqq
-    return lhs, rhs
+def _closure_sides(a: EvolutionAlgebra, p: int, q: int, alpha, beta) -> tuple:
+    """The two sides of the closure identity on raw values, rounded in the
+    order of ``alpha*alpha*beta*a[p,p] + beta*beta*beta*a[q,p]`` and
+    ``alpha*alpha*alpha*a[p,q] + alpha*beta*beta*a[q,q]``."""
+    kern, s = a.spec._kernel, a.structure._rows
+    app, apq, aqp, aqq = s[p - 1][p - 1], s[p - 1][q - 1], s[q - 1][p - 1], s[q - 1][q - 1]
+
+    def side(t1, t2):
+        return kern.canonical(functools.reduce(kern.mul, t1) + functools.reduce(kern.mul, t2))
+
+    lhs = side((alpha, alpha, beta, app), (beta, beta, beta, aqp))
+    return lhs, side((alpha, alpha, alpha, apq), (alpha, beta, beta, aqq))
 
 
 def closure_condition(
@@ -238,8 +243,8 @@ def closure_condition(
     _check_pair(a, p, q)
     if alpha.is_zero() and beta.is_zero():
         raise ZeroPair("coefficient pair (0, 0) spans nothing")
-    lhs, rhs = _closure_sides(a, p, q, alpha, beta)
-    return lhs == rhs
+    lhs, rhs = _closure_sides(a, p, q, _value_of(a.spec, alpha), _value_of(a.spec, beta))
+    return a.spec._kernel.eq((lhs,), (rhs,))
 
 
 def closure_cubic(a: EvolutionAlgebra, p: int, q: int) -> LowDegreePoly:
@@ -259,34 +264,31 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     with (alpha, beta) = (a[i,p], a[i,q]) for every index i outside the pair.
     """
     _check_pair_with_rows(a, p, q)
-    for i in range(1, a.dim + 1):
-        if i in (p, q):
-            continue
-        lhs, rhs = _closure_sides(a, p, q, a.structure_constant(i, p), a.structure_constant(i, q))
-        if lhs != rhs:
+    eq = a.spec._kernel.eq
+    for alpha, beta in _pair_rows(a, p, q):
+        lhs, rhs = _closure_sides(a, p, q, alpha, beta)
+        if not eq((lhs,), (rhs,)):
             return False
     return True
 
 
-def _codim1_subspace(
-    a: EvolutionAlgebra, p: int, q: int, vec: tuple[FieldScalar, FieldScalar] | None, skip: int
-) -> Subspace:
-    """Assemble span({e_i : i != p,q} + {v}) (or a coordinate hyperplane
-    when ``vec`` is None and ``skip`` names the dropped index) and verify
-    closure; the theory guarantees it, so over exact fields a failure is a
-    bug.  Over R, with entries near tol, the absolute-tolerance rank and
-    root tests can pass a candidate the relative closure test rejects.
+def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, skip: int) -> Subspace:
+    """Assemble span({e_i : i != p,q} + {v}) from the raw coefficients
+    ``vec`` of v (or a coordinate hyperplane when ``vec`` is None and
+    ``skip`` names the dropped index) and verify closure; the theory
+    guarantees it, so over exact fields a failure is a bug.  Over R, with
+    entries near tol, the absolute-tolerance rank and root tests can pass
+    a candidate the relative closure test rejects.
     """
-    elements = [a.basis_element(i) for i in range(1, a.dim + 1) if i not in (p, q)]
+    units = Matrix.identity(a.spec, a.dim)._rows
+    rows = [units[i - 1] for i in range(1, a.dim + 1) if i not in (p, q)]
     if vec is None:
-        elements.extend(a.basis_element(i) for i in (p, q) if i != skip)
+        rows.extend(units[i - 1] for i in (p, q) if i != skip)
     else:
-        zero = a.spec.zero()
-        coords = [zero] * a.dim
-        coords[p - 1] = vec[0]
-        coords[q - 1] = vec[1]
-        elements.append(Element(a, tuple(coords)))
-    sub = Subspace.span(a, elements)
+        v = [a.spec._kernel.zero] * a.dim
+        v[p - 1], v[q - 1] = vec
+        rows.append(tuple(v))
+    sub = Subspace(a, Matrix._trusted(a.spec, tuple(rows), a.dim))
     if sub.dim != a.dim - 1 or not sub.is_subalgebra():
         if a.spec.kind == APPROX_REALS:
             raise NotASubalgebra(
@@ -300,16 +302,15 @@ def _codim1_subspace(
 def _rank0_findings(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     """Findings for a pair whose submatrix vanishes (also the full
     dimension-two answer, where the submatrix has no rows)."""
-    cubic = closure_cubic(a, p, q)
+    kern, s = a.spec._kernel, a.structure._rows
     found = []
-    for lam in nonzero_roots(cubic):
-        vec = (a.spec.one(), lam)
-        sub = _codim1_subspace(a, p, q, vec, 0)
-        found.append(CodimOneFound(sub, p, q, CASE_ROOT, vec, lam))
-    if a.structure_constant(p, q).is_zero():
+    for lam in nonzero_roots(closure_cubic(a, p, q)):
+        sub = _codim1_subspace(a, p, q, (kern.one, lam.value), 0)
+        found.append(CodimOneFound(sub, p, q, CASE_ROOT, (a.spec.one(), lam), lam))
+    if kern.is_zero(s[p - 1][q - 1]):
         sub = _codim1_subspace(a, p, q, None, q)
         found.append(CodimOneFound(sub, p, q, CASE_DROP_Q))
-    if a.structure_constant(q, p).is_zero():
+    if kern.is_zero(s[q - 1][p - 1]):
         sub = _codim1_subspace(a, p, q, None, p)
         found.append(CodimOneFound(sub, p, q, CASE_DROP_P))
     return found
@@ -329,8 +330,8 @@ def _rank0_diagnostics(a: EvolutionAlgebra, p: int, q: int, found) -> PairDiagno
         0,
         cubic=cubic,
         roots=roots,
-        drop_p=a.structure_constant(q, p).is_zero(),
-        drop_q=a.structure_constant(p, q).is_zero(),
+        drop_p=any(f.case == CASE_DROP_P for f in found),
+        drop_q=any(f.case == CASE_DROP_Q for f in found),
         flagged_roots=flagged,
     )
 
@@ -343,19 +344,20 @@ def _pair_search(
     if rank == 2:
         return [], PairDiagnostics(p, q, 2)
     if rank == 1:
-        row = next(r for r in _pair_rows(a, p, q) if not (r[0].is_zero() and r[1].is_zero()))
-        lhs, rhs = _closure_sides(a, p, q, row[0], row[1])
-        holds = lhs == rhs
+        kern = a.spec._kernel
+        x, y = next(r for r in _pair_rows(a, p, q) if not (kern.is_zero(r[0]) and kern.is_zero(r[1])))
+        lhs, rhs = _closure_sides(a, p, q, x, y)
+        holds = kern.eq((lhs,), (rhs,))
+        wrap = functools.partial(FieldScalar, a.spec)
         found = []
         if holds:
-            lead = row[0] if not row[0].is_zero() else row[1]
-            inv = lead.inv()
-            vec = (row[0] * inv, row[1] * inv)
-            found.append(CodimOneFound(_codim1_subspace(a, p, q, vec, 0), p, q, CASE_ROW, vec))
-        diag = PairDiagnostics(
-            p, q, 1, row=row, closure_lhs=lhs, closure_rhs=rhs, closure_holds=holds
+            inv = kern.inv(y if kern.is_zero(x) else x)
+            vec = (kern.mul(x, inv), kern.mul(y, inv))
+            sub = _codim1_subspace(a, p, q, vec, 0)
+            found.append(CodimOneFound(sub, p, q, CASE_ROW, tuple(map(wrap, vec))))
+        return found, PairDiagnostics(
+            p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-        return found, diag
     found = _rank0_findings(a, p, q)
     return found, _rank0_diagnostics(a, p, q, found)
 
@@ -365,7 +367,7 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
-    found, _ = _pair_search(a, p, q, list(zip(*a._values)))
+    found, _ = _pair_search(a, p, q, list(zip(*a.structure._rows)))
     return found
 
 
@@ -384,7 +386,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise DimensionTooSmall(f"codimension-one search needs dimension >= 2, got {n}")
     all_found: list[CodimOneFound] = []
     diags: list[PairDiagnostics] = []
-    columns = list(zip(*a._values))
+    columns = list(zip(*a.structure._rows))
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             found, diag = _pair_search(a, p, q, columns)

@@ -1,17 +1,18 @@
 """Dense linear algebra over a FieldSpec: RREF, rank, determinant, inverse.
 
-``rref``, ``determinant`` and ``inverse`` share one forward elimination:
-``rref`` and ``inverse`` finish it with a back pass over the pivot rows,
-and ``determinant`` reads the signed product of its pivots.  Elimination
-runs on lists of raw values (``Fraction`` over Q, int residues over F_p,
-floats over R) through the arithmetic kernel the ``FieldSpec`` holds
-(``field._Rationals`` and its subclasses), with no field check per
-operation; values become ``FieldScalar`` again once, on the way out.
-``matvec`` and the matrix product use the same kernel.  Everything is
-exact over Q and F_p.  Over the tolerance-based reals, pivots are chosen
-by max-magnitude partial pivoting among entries above the field
-tolerance, so rank and regularity verdicts are tolerance-sensitive there,
-and an operation that overflows raises NonFiniteValue.
+``Matrix`` stores raw values (see ``field``): its constructor unwraps
+``FieldScalar`` entries once, ``Matrix._trusted`` takes canonical raw rows
+as they are, and ``rows``/``row``/``entry`` create ``FieldScalar`` on the
+way out.  ``rref``, ``determinant`` and ``inverse`` share one forward
+elimination on the raw rows, through the ``FieldSpec``'s kernel with no
+field check per operation: ``rref`` and ``inverse`` finish it with a back
+pass over the pivot rows, and ``determinant`` reads the signed product of
+its pivots.  ``matvec`` and the matrix product use the same kernel.
+Everything is exact over Q and F_p.  Over the tolerance-based reals,
+pivots are chosen by max-magnitude partial pivoting among entries above
+the field tolerance, so rank and regularity verdicts are
+tolerance-sensitive there, and an operation that overflows raises
+NonFiniteValue.
 
 The rank of a two-column matrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
@@ -24,72 +25,51 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import MixedFieldSpecs, NonSquareMatrix, SingularMatrix
-from .field import APPROX_REALS, FieldScalar, FieldSpec, scalar_parse
+from .field import FieldScalar, FieldSpec, _coerced_value, _value_of
 
 
 class Matrix:
-    """Immutable row-major grid of scalars sharing one FieldSpec."""
+    """Immutable row-major grid of raw values of one FieldSpec, which
+    enter and leave (``rows``, ``row``, ``entry``) as ``FieldScalar``."""
 
     __slots__ = ("spec", "nrows", "ncols", "_rows")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[FieldScalar]], *, ncols: int | None = None):
-        grid = tuple(tuple(row) for row in rows)
-        if grid:
-            width = len(grid[0])
-            for row in grid:
-                if len(row) != width:
-                    raise ValueError("ragged rows in matrix")
-                for x in row:
-                    if not isinstance(x, FieldScalar):
-                        raise TypeError(f"matrix entries must be FieldScalar, got {type(x).__name__}")
-                    if x.spec != spec:
-                        raise MixedFieldSpecs("matrix entries must share the matrix FieldSpec")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} does not match row width {width}")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit ncols")
-        self.spec = spec
-        self.nrows = len(grid)
-        self.ncols = ncols
-        self._rows = grid
+        grid = tuple(tuple(_value_of(spec, x) for x in row) for row in rows)
+        self.spec, self.nrows, self.ncols, self._rows = spec, len(grid), _width(grid, ncols), grid
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix on ``rows``, a tuple of equal-length tuples of
+        canonical raw values of ``spec``, without checks."""
+        m = object.__new__(cls)
+        m.spec, m.nrows, m.ncols, m._rows = spec, len(rows), ncols, rows
+        return m
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows, *, ncols: int | None = None) -> "Matrix":
         """Build a matrix, coercing int and str entries through the field."""
-        out = []
-        for row in rows:
-            coerced = []
-            for x in row:
-                if isinstance(x, FieldScalar):
-                    coerced.append(x)
-                elif isinstance(x, str):
-                    coerced.append(scalar_parse(x, spec))
-                else:
-                    coerced.append(FieldScalar(spec, x))
-            out.append(coerced)
-        return cls(spec, out, ncols=ncols)
+        grid = tuple(tuple(_coerced_value(spec, x) for x in row) for row in rows)
+        return cls._trusted(spec, grid, _width(grid, ncols))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        zero, one = spec.zero(), spec.one()
-        return cls(spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        kern = spec._kernel
+        rows = tuple(tuple(kern.one if i == j else kern.zero for j in range(n)) for i in range(n))
+        return cls._trusted(spec, rows, n)
 
     def rows(self) -> tuple[tuple[FieldScalar, ...], ...]:
-        return self._rows
+        return tuple(self.row(i) for i in range(self.nrows))
 
     def row(self, i: int) -> tuple[FieldScalar, ...]:
-        return self._rows[i]
+        return tuple(FieldScalar(self.spec, x) for x in self._rows[i])
 
     def entry(self, i: int, j: int) -> FieldScalar:
-        return self._rows[i][j]
+        return FieldScalar(self.spec, self._rows[i][j])
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.spec,
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        cols = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
+        return Matrix._trusted(self.spec, cols, self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -98,35 +78,54 @@ class Matrix:
             raise MixedFieldSpecs("cannot multiply matrices over different fields")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols = other.transpose()
-        return Matrix(self.spec, [matvec(cols, row) for row in self._rows], ncols=other.ncols)
+        dot = self.spec._kernel.dot
+        cols = other.transpose()._rows
+        return Matrix._trusted(
+            self.spec, tuple(tuple(dot(col, row) for col in cols) for row in self._rows), other.ncols
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.spec == other.spec and self.ncols == other.ncols and self._rows == other._rows
+        return (
+            self.spec == other.spec
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and all(map(self.spec._kernel.eq, self._rows, other._rows))
+        )
 
     def __hash__(self):
-        if self.spec.kind == APPROX_REALS:
-            return hash((self.spec, self.nrows, self.ncols))
-        return hash((self.spec, self.nrows, self.ncols, tuple(x.value for r in self._rows for x in r)))
+        kern_hash = self.spec._kernel.hash
+        return hash((self.spec, self.nrows, self.ncols, tuple(map(kern_hash, self._rows))))
 
     def render_rows(self) -> list[str]:
-        return ["[" + ", ".join(x.render() for x in row) + "]" for row in self._rows]
+        render = self.spec._kernel.render
+        return ["[" + ", ".join(map(render, row)) + "]" for row in self._rows]
 
     def __repr__(self):
         body = "; ".join(self.render_rows())
         return f"Matrix({self.spec.describe()}, {self.nrows}x{self.ncols}: {body})"
 
 
+def _width(grid: tuple, ncols: int | None) -> int:
+    if not grid:
+        if ncols is None:
+            raise ValueError("empty matrix needs an explicit ncols")
+        return ncols
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise ValueError("ragged rows in matrix")
+    if ncols is not None and ncols != width:
+        raise ValueError(f"ncols={ncols} does not match row width {width}")
+    return width
+
+
 def matvec(m: Matrix, v: Sequence[FieldScalar]) -> tuple[FieldScalar, ...]:
+    """``m`` times the column ``v`` of scalars (or ints) of its field."""
     if len(v) != m.ncols:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows}x{m.ncols} matrix")
     spec = m.spec
-    zero = spec.zero()
-    # ``zero + x`` coerces ints and rejects other fields, as scalar products would.
-    xs = [(zero + x).value for x in v]
-    return tuple(FieldScalar(spec, spec._kernel.dot(row, xs)) for row in _values(m))
+    xs = [_value_of(spec, x, ints=True) for x in v]
+    return tuple(FieldScalar(spec, spec._kernel.dot(row, xs)) for row in m._rows)
 
 
 @dataclass(frozen=True)
@@ -134,14 +133,6 @@ class RrefResult:
     rref: Matrix
     rank: int
     pivot_cols: tuple[int, ...]
-
-
-def _values(m: Matrix) -> list[list]:
-    return [[x.value for x in row] for row in m.rows()]
-
-
-def _scalars(spec: FieldSpec, values) -> list[FieldScalar]:
-    return [FieldScalar(spec, x) for x in values]
 
 
 def _eliminate(rows: list[list], kern) -> tuple[list[int], object]:
@@ -224,20 +215,19 @@ def rref(m: Matrix) -> RrefResult:
     The result is canonical: for a fixed row space over an exact field it
     is unique, so subspace equality reduces to entry-wise comparison.
     """
-    spec = m.spec
-    rows = _values(m)
-    pivots = _gauss_jordan(rows, spec._kernel)
+    kern = m.spec._kernel
+    rows = [list(row) for row in m._rows]
+    pivots = _gauss_jordan(rows, kern)
     rank = len(pivots)
-    out = [_scalars(spec, row) for row in rows[:rank]]
-    out.extend([spec.zero()] * m.ncols for _ in range(rank, m.nrows))
-    return RrefResult(Matrix(spec, out, ncols=m.ncols), rank, tuple(pivots))
+    out = tuple(map(tuple, rows[:rank])) + ((kern.zero,) * m.ncols,) * (m.nrows - rank)
+    return RrefResult(Matrix._trusted(m.spec, out, m.ncols), rank, tuple(pivots))
 
 
 def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
     """Determinant and pivot count, from one elimination."""
     if m.nrows != m.ncols:
         raise NonSquareMatrix(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    pivots, det = _eliminate(_values(m), m.spec._kernel)
+    pivots, det = _eliminate([list(row) for row in m._rows], m.spec._kernel)
     rank = len(pivots)
     return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
 
@@ -255,9 +245,9 @@ def inverse(m: Matrix) -> Matrix:
     kern = m.spec._kernel
     rows = [
         row + [kern.one if j == i else kern.zero for j in range(n)]
-        for i, row in enumerate(_values(m))
+        for i, row in enumerate(map(list, m._rows))
     ]
     pivots = _gauss_jordan(rows, kern)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Matrix(m.spec, [_scalars(m.spec, row[n:]) for row in rows], ncols=n)
+    return Matrix._trusted(m.spec, tuple(tuple(row[n:]) for row in rows), n)

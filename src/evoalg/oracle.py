@@ -1,9 +1,9 @@
 """Brute-force ground truth over prime fields.
 
 Subspaces of F_p^n are enumerated by RREF profile: choose the pivot
-columns, then fill the free positions with every field value.  Each
-subspace appears exactly once, already in canonical form, so the stream
-needs no duplicate filtering.  A hard size guard refuses oversized
+columns, then fill the free positions with every residue.  Each subspace
+appears exactly once, already in canonical form as raw residues, so the
+stream needs no duplicate filtering and no ``rref``.  A hard size guard refuses oversized
 enumerations instead of silently truncating them.
 """
 
@@ -58,30 +58,28 @@ def enumerate_subspaces(
 
 def _rref_profiles(spec: FieldSpec, n: int, m: int) -> Iterator[Matrix]:
     if m == 0:
-        yield Matrix(spec, [], ncols=n)
+        yield Matrix._trusted(spec, (), n)
         return
-    p = spec.p
-    scalars = [spec.from_int(k) for k in range(p)]
-    zero, one = scalars[0], scalars[1]
     for pivots in itertools.combinations(range(n), m):
         pivset = set(pivots)
         free = [(r, c) for r in range(m) for c in range(pivots[r] + 1, n) if c not in pivset]
-        for values in itertools.product(range(p), repeat=len(free)):
-            rows = [[zero] * n for _ in range(m)]
+        for values in itertools.product(range(spec.p), repeat=len(free)):
+            rows = [[0] * n for _ in range(m)]
             for r, c in enumerate(pivots):
-                rows[r][c] = one
+                rows[r][c] = 1
             for (r, c), v in zip(free, values):
-                rows[r][c] = scalars[v]
-            yield Matrix(spec, rows, ncols=n)
+                rows[r][c] = v
+            yield Matrix._trusted(spec, tuple(map(tuple, rows)), n)
 
 
 def enumerate_subspaces_of(
     algebra: EvolutionAlgebra, m: int, *, max_count: int = DEFAULT_MAX_SUBSPACES
 ) -> Iterator[Subspace]:
     """Same stream as :func:`enumerate_subspaces`, wrapped as subspaces of
-    the given algebra."""
+    the given algebra.  Each basis is canonical already, with its pivots at
+    the leading ones, so it is not reduced again."""
     bases = enumerate_subspaces(algebra.spec, algebra.dim, m, max_count=max_count)
-    return (Subspace(algebra, basis) for basis in bases)
+    return (Subspace._canonical(algebra, b._rows, tuple(r.index(1) for r in b._rows)) for b in bases)
 
 
 def enumerate_subalgebras(
@@ -97,10 +95,6 @@ def enumerate_subalgebras(
     total = subspace_count(algebra.dim, algebra.spec.p)
     if total > max_count:
         raise TooLarge(f"{total} subspaces exceed the guard of {max_count}")
-    out = []
-    for m in range(algebra.dim + 1):
-        for sub in enumerate_subspaces_of(algebra, m, max_count=max_count):
-            if sub.is_subalgebra():
-                out.append(sub)
-    out.sort(key=Subspace.sort_key)
-    return out
+    dims = range(algebra.dim + 1)
+    subs = (s for m in dims for s in enumerate_subspaces_of(algebra, m, max_count=max_count))
+    return sorted((s for s in subs if s.is_subalgebra()), key=Subspace.sort_key)

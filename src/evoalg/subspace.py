@@ -3,7 +3,8 @@
 A subspace is represented by the reduced row echelon form of any spanning
 set, with zero rows dropped.  That form is unique per row space, so two
 subspaces are equal exactly when their basis matrices are entry-wise
-equal, and deduplication needs no extra work.
+equal, and deduplication needs no extra work.  Bases are raw-value
+matrices; membership and closure run on them through the field's kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class Subspace:
     ``Subspace.span`` is the usual entry point from elements.
     """
 
-    __slots__ = ("algebra", "basis", "pivot_cols", "_values")
+    __slots__ = ("algebra", "basis", "pivot_cols")
 
     def __init__(self, algebra: EvolutionAlgebra, spanning: Matrix):
         if spanning.spec != algebra.spec:
@@ -32,27 +33,33 @@ class Subspace:
                 f"spanning rows have width {spanning.ncols}, algebra dimension is {algebra.dim}"
             )
         res = rref(spanning)
-        self.algebra = algebra
-        self.basis = Matrix(algebra.spec, res.rref.rows()[: res.rank], ncols=algebra.dim)
-        self.pivot_cols = res.pivot_cols
-        self._values = tuple(tuple(x.value for x in row) for row in self.basis.rows())
+        self.algebra, self.pivot_cols = algebra, res.pivot_cols
+        self.basis = Matrix._trusted(algebra.spec, res.rref._rows[: res.rank], algebra.dim)
+
+    @classmethod
+    def _canonical(cls, algebra: EvolutionAlgebra, rows: tuple, pivot_cols: tuple) -> "Subspace":
+        """The subspace whose canonical basis is ``rows`` (raw, reduced row
+        echelon, no zero rows) with leading ones at ``pivot_cols``; no
+        second ``rref``."""
+        s = object.__new__(cls)
+        s.algebra, s.pivot_cols = algebra, pivot_cols
+        s.basis = Matrix._trusted(algebra.spec, rows, algebra.dim)
+        return s
 
     @classmethod
     def span(cls, algebra: EvolutionAlgebra, elements: Iterable[Element]) -> "Subspace":
         """Canonical subspace spanned by the given elements."""
-        rows = []
-        for e in elements:
-            if e.algebra != algebra:
-                raise MixedAlgebras("spanning element from a different algebra")
-            rows.append(e.coords)
-        return cls(algebra, Matrix(algebra.spec, rows, ncols=algebra.dim))
+        elements = list(elements)
+        if any(e.algebra != algebra for e in elements):
+            raise MixedAlgebras("spanning element from a different algebra")
+        return cls(algebra, Matrix._trusted(algebra.spec, tuple(e._coords for e in elements), algebra.dim))
 
     @property
     def dim(self) -> int:
         return self.basis.nrows
 
     def basis_elements(self) -> tuple[Element, ...]:
-        return tuple(Element(self.algebra, row) for row in self.basis.rows())
+        return tuple(Element._of(self.algebra, row) for row in self.basis._rows)
 
     def contains(self, u: Element) -> bool:
         """Membership by reduction against the RREF basis.
@@ -62,13 +69,12 @@ class Subspace:
         """
         if u.algebra != self.algebra:
             raise MixedAlgebras("element from a different algebra")
-        kern = self.algebra.spec._kernel
-        return kern.in_span([x.value for x in u.coords], self._values, self.pivot_cols)
+        return self.algebra.spec._kernel.in_span(u._coords, self.basis._rows, self.pivot_cols)
 
     def is_subalgebra(self) -> bool:
         """Closure under the product; basis pairs suffice by bilinearity."""
         in_span, product = self.algebra.spec._kernel.in_span, self.algebra._product
-        rows = self._values
+        rows = self.basis._rows
         for i, u in enumerate(rows):
             for w in rows[i:]:
                 if not in_span(product(u, w), rows, self.pivot_cols):
@@ -100,7 +106,7 @@ class Subspace:
         return (
             self.basis.nrows,
             self.pivot_cols,
-            tuple(x.sort_key() for row in self.basis.rows() for x in row),
+            tuple(x for row in self.basis._rows for x in row),
         )
 
     def __eq__(self, other):

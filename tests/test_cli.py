@@ -255,6 +255,13 @@ def test_unusable_large_modulus_is_usage_error(tmp_path, p, reason):
     assert reason in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_onedim_line_scan_past_the_guard_is_one_line_error(tmp_path):
+    path = write_algebra(tmp_path, "bigp2.alg", {"kind": "Fp", "p": 2**61 - 1}, 2, [[1, 0], [0, 1]])
+    proc = run_module("onedim", path, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_verify_real_span_at_large_magnitude(tmp_path, capsys):
     path = write_algebra(tmp_path, "big.alg", REALS, 5, SCALED_1E6_ROWS)
     span = "1,0,0,0,0;0,1,0,0,0;0,0,1,0,3.5615528128088303;0,0,0,1,0"

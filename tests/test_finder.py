@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from evoalg import (
     NotASubalgebra,
     NotRegular,
     Subspace,
+    TooLarge,
     UnsupportedFieldDimension,
     ZeroPair,
     closure_condition,
@@ -114,6 +116,15 @@ def test_solve_onedim_rejects_nonregular():
 def test_solve_onedim_rejects_infinite_field_dim3():
     with pytest.raises(UnsupportedFieldDimension):
         solve_onedim(make_algebra(Q, identity_rows(3)))
+
+
+def test_solve_onedim_refuses_a_line_scan_past_the_guard():
+    # (p^2 - 1)/(p - 1) = p + 1 lines: refused before the first one is built.
+    a = make_algebra(FieldSpec.prime_field(2**61 - 1), identity_rows(2))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        solve_onedim(a)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dim2_closed_form_matches_fp_enumeration():

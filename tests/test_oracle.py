@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from evoalg import (
@@ -12,6 +14,7 @@ from evoalg import (
     enumerate_subspaces,
     enumerate_subspaces_of,
     gaussian_binomial,
+    rref,
     subspace_count,
 )
 from support import (
@@ -23,6 +26,7 @@ from support import (
     gaussian_recurrence,
     identity_rows,
     make_algebra,
+    random_fp_rows,
     subspace_keys,
 )
 
@@ -63,6 +67,25 @@ def test_enumeration_is_duplicate_free_and_canonical():
             seen.append(sub)
     keys = subspace_keys(seen)
     assert len(keys) == len(set(keys)) == subspace_count(3, 3)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(F2, n) for n in range(1, 5)] + [(F3, n) for n in range(1, 4)]
+)
+def test_enumerated_bases_are_canonical_and_match_the_reducing_path(spec, n):
+    # The oracle builds its subspaces from the enumerated bases without a
+    # second rref; that is sound only while every basis is already in
+    # canonical form, which rref must confirm independently.
+    a = make_algebra(spec, random_fp_rows(spec.p, n, random.Random(n)))
+    for m in range(n + 1):
+        bases = list(enumerate_subspaces(spec, n, m))
+        for b in bases:
+            res = rref(b)
+            assert res.rref == b and res.rank == m
+        trusted = list(enumerate_subspaces_of(a, m))
+        reduced = [Subspace(a, b) for b in bases]
+        assert trusted == reduced
+        assert [s.pivot_cols for s in trusted] == [s.pivot_cols for s in reduced]
 
 
 def test_nilpotent_shift_subalgebras():
