@@ -14,10 +14,13 @@ p, rendering and the overflow check over R.  A ``FieldScalar`` is a value
 at the API boundary: public constructors unwrap it once (``_value_of``,
 ``_coerced_value``); accessors, diagnostics and rendering create it.
 
-The module also extracts the nonzero roots of polynomials of degree at
-most three, which is all the root finding the subalgebra search needs:
+The kernels also find the nonzero roots of polynomials of degree at most
+three, which is all the root finding the subalgebra search needs:
 rational-root candidates over Q, exhaustive evaluation over F_p, and
-closed-form real roots polished by Newton steps over R.
+closed-form real roots polished by Newton steps over R.  ``_Reals`` holds
+the root policy over R (acceptance and the near-tolerance flag) and the
+relative closure-identity test (``sums_equal``).  ``LowDegreePoly``
+stores raw coefficients too.  Over F_p a value must be an int.
 """
 
 from __future__ import annotations
@@ -148,6 +151,32 @@ class _Rationals:
                 v = self.sub_multiple(v, v[c], row)
         return v
 
+    def sums_equal(self, x, y, terms) -> bool:
+        """Whether ``x`` and ``y``, two sums of the raw values ``terms``, are equal."""
+        return x == y
+
+    def nonzero_roots(self, cs) -> list:
+        """Sorted nonzero roots of the cubic with raw coefficients ``cs``."""
+        den = math.lcm(*(c.denominator for c in cs))
+        ints = [int(c * den) for c in cs]
+        g = math.gcd(*ints)
+        if g > 1:
+            ints = [c // g for c in ints]
+        nonzero = [c for c in ints if c != 0]  # an x^k factor has no nonzero root
+        if len(nonzero) <= 1:
+            return []
+        lead, const = abs(nonzero[0]), abs(nonzero[-1])
+        found = set()
+        for num in _divisors(const):
+            for div in _divisors(lead):
+                cand = Fraction(num, div)
+                found.update(x for x in (cand, -cand) if _horner4(*ints, x) == 0)
+        return sorted(found)
+
+    def is_flagged_root(self, cs, x) -> bool:
+        """Whether the root ``x`` of the cubic ``cs`` is near the acceptance bound."""
+        return False
+
 
 class _PrimeField(_Rationals):
     """Int residues mod p, reduced after every product, sum and difference."""
@@ -158,7 +187,9 @@ class _PrimeField(_Rationals):
         self.p = p
 
     def canonical(self, value):
-        return int(value) % self.p
+        if not isinstance(value, int):
+            raise TypeError(f"prime field scalars need an int, got {type(value).__name__}")
+        return value % self.p
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -169,6 +200,9 @@ class _PrimeField(_Rationals):
     def add_multiple(self, row, f, prow) -> list:
         p = self.p
         return [(a + f * b) % p for a, b in zip(row, prow)]
+
+    def nonzero_roots(self, cs) -> list:
+        return [x for x in range(1, self.p) if _horner4(*cs, x) % self.p == 0]
 
 
 class _Reals(_Rationals):
@@ -240,6 +274,45 @@ class _Reals(_Rationals):
         cancelled = [abs(v[c]) * max(map(abs, row)) for row, c in zip(rows, pivots) if v[c] != 0]
         bound = self.tol * max([1.0, *map(abs, v), *cancelled])
         return all(abs(x) <= bound for x in self._residual(v, rows, pivots))
+
+    def sums_equal(self, x, y, terms) -> bool:
+        """Relative, as in ``in_span``: ``|x - y|`` within ``tol`` times the
+        largest magnitude among ``terms``, so the verdict does not change
+        when every term is scaled."""
+        return abs(x - y) <= self.tol * max(map(abs, terms))
+
+    def nonzero_roots(self, cs) -> list:
+        """Kept when nonzero and distinct beyond ``tol`` and with
+        ``|cubic(x)|`` within ``tol * max|c|``."""
+        c3, c2, c1, c0 = cs
+        tol = self.tol
+        if abs(c3) > tol:
+            try:
+                candidates = _cubic_real_roots(c3, c2, c1, c0)
+            except OverflowError as exc:
+                msg = "real root search overflows: cubic coefficients too far apart"
+                raise NonFiniteValue(msg) from exc
+        elif abs(c2) > tol:
+            candidates = _quadratic_real_roots(c2, c1, c0)
+        elif abs(c1) > tol:
+            candidates = [-c0 / c1]
+        else:
+            return []
+        bound = tol * max(map(abs, cs))
+        out: list[float] = []
+        for x in sorted(_newton_polish(c3, c2, c1, c0, x) for x in candidates):
+            if not math.isfinite(x) or abs(x) <= tol:
+                continue
+            if abs(_horner4(c3, c2, c1, c0, x)) > bound:
+                continue
+            if out and abs(x - out[-1]) <= tol:
+                continue
+            out.append(x)
+        return out
+
+    def is_flagged_root(self, cs, x) -> bool:
+        """``|cubic(x)|`` comes within a factor of ten of the bound of ``nonzero_roots``."""
+        return abs(_horner4(*cs, x)) > self.tol * max(map(abs, cs)) / 10.0
 
 
 @dataclass(frozen=True)
@@ -461,46 +534,51 @@ class LowDegreePoly:
     """Polynomial ``c3*x^3 + c2*x^2 + c1*x + c0`` over one field.
 
     Leading coefficients may be zero; degenerate polynomials are treated
-    as genuine lower-degree ones.
+    as genuine lower-degree ones.  The coefficients are stored as raw
+    values, ``(c3, c2, c1, c0)``.
     """
 
-    __slots__ = ("spec", "c3", "c2", "c1", "c0")
+    __slots__ = ("spec", "_cs")
 
     def __init__(self, c3: FieldScalar, c2: FieldScalar, c1: FieldScalar, c0: FieldScalar):
         spec = c3.spec
-        for c in (c2, c1, c0):
-            if c.spec != spec:
-                raise MixedFieldSpecs("polynomial coefficients must share one field")
+        if any(c.spec != spec for c in (c2, c1, c0)):
+            raise MixedFieldSpecs("polynomial coefficients must share one field")
         self.spec = spec
-        self.c3, self.c2, self.c1, self.c0 = c3, c2, c1, c0
+        self._cs = (c3.value, c2.value, c1.value, c0.value)
 
     @classmethod
     def from_values(cls, spec: FieldSpec, c3, c2, c1, c0) -> "LowDegreePoly":
-        return cls(*(FieldScalar(spec, v) for v in (c3, c2, c1, c0)))
+        poly = object.__new__(cls)
+        poly.spec, poly._cs = spec, tuple(map(spec._kernel.canonical, (c3, c2, c1, c0)))
+        return poly
 
     def coefficients(self) -> tuple[FieldScalar, FieldScalar, FieldScalar, FieldScalar]:
-        return (self.c3, self.c2, self.c1, self.c0)
+        return tuple(FieldScalar(self.spec, c) for c in self._cs)
 
     def evaluate(self, x: FieldScalar) -> FieldScalar:
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
+        kern, v = self.spec._kernel, _value_of(self.spec, x, ints=True)
+        acc = kern.zero
+        for c in self._cs:
+            acc = kern.canonical(kern.mul(acc, v) + c)
+        return FieldScalar(self.spec, acc)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients())
+        return all(map(self.spec._kernel.is_zero, self._cs))
 
     def nonzero_roots(self) -> list[FieldScalar]:
         return nonzero_roots(self)
 
     def render(self, var: str = "x") -> str:
-        coeffs = (c.value for c in self.coefficients())
-        return _render_terms(self.spec._kernel, zip(coeffs, (f"{var}^3", f"{var}^2", var, "")))
+        return _render_terms(self.spec._kernel, zip(self._cs, (f"{var}^3", f"{var}^2", var, "")))
 
     def __eq__(self, other):
         if not isinstance(other, LowDegreePoly):
             return NotImplemented
-        return self.coefficients() == other.coefficients()
+        return self.spec == other.spec and self.spec._kernel.eq(self._cs, other._cs)
 
     def __hash__(self):
-        return hash(tuple(hash(c) for c in self.coefficients()))
+        return hash((self.spec, self.spec._kernel.hash(self._cs)))
 
     def __repr__(self):
         return f"LowDegreePoly({self.render()} over {self.spec.describe()})"
@@ -529,34 +607,18 @@ def _render_terms(kern, terms) -> str:
 def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:
     """All roots ``x != 0`` of ``poly`` in its field, sorted ascending.
 
-    Over Q the rational-root candidates of the reduced integer polynomial
-    are tested exactly; over F_p every nonzero residue is evaluated; over R
-    closed-form real roots are Newton-polished and kept when the residual
-    ``|poly(x)|`` stays within ``tol * max|coefficient|``.
+    The field's kernel finds them: over Q the rational-root candidates of
+    the reduced integer polynomial are tested exactly; over F_p every
+    nonzero residue is evaluated; over R closed-form real roots are
+    Newton-polished and kept when the residual ``|poly(x)|`` stays within
+    ``tol * max|coefficient|``.
 
     Raises IdenticallyZeroPolynomial when every coefficient is zero, since
     then every scalar is a root and the caller must decide what that means.
     """
     if poly.is_zero():
         raise IdenticallyZeroPolynomial("every scalar is a root of the zero polynomial")
-    spec = poly.spec
-    if spec.kind == PRIME_FIELD:
-        residues = [c.value for c in poly.coefficients()]
-        p = spec.p
-        found = []
-        for x in range(1, p):
-            acc = 0
-            for c in residues:
-                acc = (acc * x + c) % p
-            if acc == 0:
-                found.append(FieldScalar(spec, x))
-        return found
-    if spec.kind == RATIONALS:
-        return [FieldScalar(spec, r) for r in _rational_nonzero_roots(poly)]
-    roots = _real_nonzero_roots(
-        poly.c3.value, poly.c2.value, poly.c1.value, poly.c0.value, spec.tol
-    )
-    return [FieldScalar(spec, r) for r in roots]
+    return [FieldScalar(poly.spec, r) for r in poly.spec._kernel.nonzero_roots(poly._cs)]
 
 
 def _divisors(n: int) -> list[int]:
@@ -571,38 +633,11 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _rational_nonzero_roots(poly: LowDegreePoly) -> list[Fraction]:
-    fracs = [c.value for c in poly.coefficients()]
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    while ints and ints[-1] == 0:  # strip x^k factor; 0 is never reported
-        ints.pop()
-    if len(ints) <= 1:
-        return []
-    lead, const = abs(ints[0]), abs(ints[-1])
-    found = set()
-    for num in _divisors(const):
-        for div in _divisors(lead):
-            cand = Fraction(num, div)
-            for x in (cand, -cand):
-                acc = Fraction(0)
-                for c in ints:
-                    acc = acc * x + c
-                if acc == 0:
-                    found.add(x)
-    return sorted(found)
-
-
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _horner4(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
+def _horner4(c3, c2, c1, c0, x):
     return ((c3 * x + c2) * x + c1) * x + c0
 
 
@@ -625,7 +660,7 @@ def _newton_polish(c3: float, c2: float, c1: float, c0: float, x: float) -> floa
 
 def _quadratic_real_roots(a: float, b: float, c: float) -> list[float]:
     disc = b * b - 4.0 * a * c
-    eps = 1e-12 * max(1.0, b * b, abs(4.0 * a * c))
+    eps = 1e-12 * max(b * b, abs(4.0 * a * c))
     if disc < -eps:
         return []
     if disc <= eps:
@@ -642,7 +677,7 @@ def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
     q = 2.0 * b1 ** 3 / 27.0 - b1 * c1 / 3.0 + d1
     shift = -b1 / 3.0
     disc = -4.0 * p ** 3 - 27.0 * q * q
-    eps = 1e-12 * max(1.0, 4.0 * abs(p) ** 3, 27.0 * q * q)
+    eps = 1e-12 * max(4.0 * abs(p) ** 3, 27.0 * q * q)
     if abs(disc) <= eps:
         if abs(p) <= 1e-12 and abs(q) <= 1e-12:
             ts = [0.0]
@@ -657,28 +692,3 @@ def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
         rt = math.sqrt(-disc / 108.0)
         ts = [_cbrt(-q / 2.0 + rt) + _cbrt(-q / 2.0 - rt)]
     return [t + shift for t in ts]
-
-
-def _real_nonzero_roots(c3: float, c2: float, c1: float, c0: float, tol: float) -> list[float]:
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if abs(c3) > tol:
-        try:
-            candidates = _cubic_real_roots(c3, c2, c1, c0)
-        except OverflowError as exc:
-            raise NonFiniteValue("real root search overflows: cubic coefficients too far apart") from exc
-    elif abs(c2) > tol:
-        candidates = _quadratic_real_roots(c2, c1, c0)
-    elif abs(c1) > tol:
-        candidates = [-c0 / c1]
-    else:
-        return []
-    out: list[float] = []
-    for x in sorted(_newton_polish(c3, c2, c1, c0, x) for x in candidates):
-        if not math.isfinite(x) or abs(x) <= tol:
-            continue
-        if abs(_horner4(c3, c2, c1, c0, x)) > tol * scale:
-            continue
-        if out and abs(x - out[-1]) <= tol:
-            continue
-        out.append(x)
-    return out

@@ -25,8 +25,11 @@ single pair has rank 0, and the rank-0 formulas yield the complete list of
 one-dimensional subalgebras.  Over prime fields, one-dimensional
 subalgebras of any dimension are found by scanning projective
 representatives directly, refused with TooLarge above
-``DEFAULT_MAX_SUBSPACES`` lines.  The scans and the candidates run on raw
-values; ``FieldScalar`` appears only in findings and diagnostics.
+``DEFAULT_MAX_SUBSPACES`` lines.  The scans, the closure identity, the
+rank-0 cubic (built once per pair) and the candidates run on raw values;
+``FieldScalar`` appears only in findings and diagnostics.  The field's
+kernel decides the closure identity (over R relative to its products)
+and finds and flags the cubic's roots.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
     if a.spec.kind == PRIME_FIELD:
         return _lines_by_enumeration(a)
     if a.dim == 2:
-        return sorted((found.subspace for found in _rank0_findings(a, 1, 2)), key=Subspace.sort_key)
+        return sorted((found.subspace for found in _rank0_search(a, 1, 2)[0]), key=Subspace.sort_key)
     raise UnsupportedFieldDimension(
         f"one-dimensional search over {a.spec.describe()} supports dimension 2 only"
     )
@@ -217,18 +220,25 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     return PairSubmatrix(p, q, Matrix._trusted(a.spec, _pair_rows(a, p, q), 2), rank)
 
 
-def _closure_sides(a: EvolutionAlgebra, p: int, q: int, alpha, beta) -> tuple:
-    """The two sides of the closure identity on raw values, rounded in the
-    order of ``alpha*alpha*beta*a[p,p] + beta*beta*beta*a[q,p]`` and
+def _pair_constants(a: EvolutionAlgebra, p: int, q: int) -> tuple:
+    """The raw structure constants a[p,p], a[p,q], a[q,p], a[q,q]."""
+    s = a.structure._rows
+    return s[p - 1][p - 1], s[p - 1][q - 1], s[q - 1][p - 1], s[q - 1][q - 1]
+
+
+def _closure_verdict(a: EvolutionAlgebra, p: int, q: int, alpha, beta) -> tuple:
+    """The two sides of the closure identity on raw values and whether they
+    agree, by the kernel's ``sums_equal`` over the four products (relative
+    over R).  The sides are rounded in the order of
+    ``alpha*alpha*beta*a[p,p] + beta*beta*beta*a[q,p]`` and
     ``alpha*alpha*alpha*a[p,q] + alpha*beta*beta*a[q,q]``."""
-    kern, s = a.spec._kernel, a.structure._rows
-    app, apq, aqp, aqq = s[p - 1][p - 1], s[p - 1][q - 1], s[q - 1][p - 1], s[q - 1][q - 1]
-
-    def side(t1, t2):
-        return kern.canonical(functools.reduce(kern.mul, t1) + functools.reduce(kern.mul, t2))
-
-    lhs = side((alpha, alpha, beta, app), (beta, beta, beta, aqp))
-    return lhs, side((alpha, alpha, alpha, apq), (alpha, beta, beta, aqq))
+    kern = a.spec._kernel
+    app, apq, aqp, aqq = _pair_constants(a, p, q)
+    products = ((alpha, alpha, beta, app), (beta, beta, beta, aqp))
+    products += ((alpha, alpha, alpha, apq), (alpha, beta, beta, aqq))
+    terms = [functools.reduce(kern.mul, f) for f in products]
+    lhs, rhs = kern.canonical(terms[0] + terms[1]), kern.canonical(terms[2] + terms[3])
+    return lhs, rhs, kern.sums_equal(lhs, rhs, terms)
 
 
 def closure_condition(
@@ -243,19 +253,14 @@ def closure_condition(
     _check_pair(a, p, q)
     if alpha.is_zero() and beta.is_zero():
         raise ZeroPair("coefficient pair (0, 0) spans nothing")
-    lhs, rhs = _closure_sides(a, p, q, _value_of(a.spec, alpha), _value_of(a.spec, beta))
-    return a.spec._kernel.eq((lhs,), (rhs,))
+    return _closure_verdict(a, p, q, _value_of(a.spec, alpha), _value_of(a.spec, beta))[2]
 
 
 def closure_cubic(a: EvolutionAlgebra, p: int, q: int) -> LowDegreePoly:
     """Cubic whose nonzero roots t give closed lines v = e_p + t*e_q."""
     _check_pair(a, p, q)
-    return LowDegreePoly(
-        a.structure_constant(q, p),
-        -a.structure_constant(q, q),
-        a.structure_constant(p, p),
-        -a.structure_constant(p, q),
-    )
+    app, apq, aqp, aqq = _pair_constants(a, p, q)
+    return LowDegreePoly.from_values(a.spec, aqp, -aqq, app, -apq)
 
 
 def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
@@ -264,12 +269,7 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     with (alpha, beta) = (a[i,p], a[i,q]) for every index i outside the pair.
     """
     _check_pair_with_rows(a, p, q)
-    eq = a.spec._kernel.eq
-    for alpha, beta in _pair_rows(a, p, q):
-        lhs, rhs = _closure_sides(a, p, q, alpha, beta)
-        if not eq((lhs,), (rhs,)):
-            return False
-    return True
+    return all(_closure_verdict(a, p, q, alpha, beta)[2] for alpha, beta in _pair_rows(a, p, q))
 
 
 def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, skip: int) -> Subspace:
@@ -299,40 +299,28 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, ski
     return sub
 
 
-def _rank0_findings(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
-    """Findings for a pair whose submatrix vanishes (also the full
-    dimension-two answer, where the submatrix has no rows)."""
-    kern, s = a.spec._kernel, a.structure._rows
+def _rank0_search(
+    a: EvolutionAlgebra, p: int, q: int
+) -> tuple[list[CodimOneFound], PairDiagnostics]:
+    """Findings and diagnostics for a pair whose submatrix vanishes (also
+    the full dimension-two answer, where the submatrix has no rows), from
+    one cubic and one root search."""
+    kern = a.spec._kernel
+    cubic = closure_cubic(a, p, q)
+    roots = tuple(nonzero_roots(cubic))
     found = []
-    for lam in nonzero_roots(closure_cubic(a, p, q)):
+    for lam in roots:
         sub = _codim1_subspace(a, p, q, (kern.one, lam.value), 0)
         found.append(CodimOneFound(sub, p, q, CASE_ROOT, (a.spec.one(), lam), lam))
-    if kern.is_zero(s[p - 1][q - 1]):
-        sub = _codim1_subspace(a, p, q, None, q)
-        found.append(CodimOneFound(sub, p, q, CASE_DROP_Q))
-    if kern.is_zero(s[q - 1][p - 1]):
-        sub = _codim1_subspace(a, p, q, None, p)
-        found.append(CodimOneFound(sub, p, q, CASE_DROP_P))
-    return found
-
-
-def _rank0_diagnostics(a: EvolutionAlgebra, p: int, q: int, found) -> PairDiagnostics:
-    cubic = closure_cubic(a, p, q)
-    roots = tuple(f.root for f in found if f.case == CASE_ROOT)
-    flagged = ()
-    if a.spec.kind == APPROX_REALS:
-        scale = max(abs(c.value) for c in cubic.coefficients())
-        bound = a.spec.tol * scale / 10.0
-        flagged = tuple(r for r in roots if abs(cubic.evaluate(r).value) > bound)
-    return PairDiagnostics(
-        p,
-        q,
-        0,
-        cubic=cubic,
-        roots=roots,
-        drop_p=any(f.case == CASE_DROP_P for f in found),
-        drop_q=any(f.case == CASE_DROP_Q for f in found),
-        flagged_roots=flagged,
+    _, apq, aqp, _ = _pair_constants(a, p, q)
+    drop_q, drop_p = kern.is_zero(apq), kern.is_zero(aqp)
+    if drop_q:
+        found.append(CodimOneFound(_codim1_subspace(a, p, q, None, q), p, q, CASE_DROP_Q))
+    if drop_p:
+        found.append(CodimOneFound(_codim1_subspace(a, p, q, None, p), p, q, CASE_DROP_P))
+    flagged = tuple(r for r in roots if kern.is_flagged_root(cubic._cs, r.value))
+    return found, PairDiagnostics(
+        p, q, 0, cubic=cubic, roots=roots, drop_p=drop_p, drop_q=drop_q, flagged_roots=flagged
     )
 
 
@@ -346,8 +334,7 @@ def _pair_search(
     if rank == 1:
         kern = a.spec._kernel
         x, y = next(r for r in _pair_rows(a, p, q) if not (kern.is_zero(r[0]) and kern.is_zero(r[1])))
-        lhs, rhs = _closure_sides(a, p, q, x, y)
-        holds = kern.eq((lhs,), (rhs,))
+        lhs, rhs, holds = _closure_verdict(a, p, q, x, y)
         wrap = functools.partial(FieldScalar, a.spec)
         found = []
         if holds:
@@ -358,8 +345,7 @@ def _pair_search(
         return found, PairDiagnostics(
             p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-    found = _rank0_findings(a, p, q)
-    return found, _rank0_diagnostics(a, p, q, found)
+    return _rank0_search(a, p, q)
 
 
 def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:

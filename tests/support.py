@@ -50,20 +50,39 @@ SCALED_1E6_ROWS = [
 
 
 # Regular real algebras (tol 1e-9) with entries near tol: the codimension-one
-# search accepts a candidate for pair (1,3), respectively (2,3), with its
+# search accepts a candidate for pair (1,2), respectively (3,4), with its
 # absolute-tolerance rank and root tests that the relative closure test
 # then rejects.
 NEAR_TOL_REAL_ROWS = [
+    [8.930497214428688e-09, 2.0368388527650216, 3.337569493858486],
+    [0.0, 0.0, 1.6816636314661713],
+    [-9.777431226911323e-10, 0.0, 9.38935076790241e-09],
+]
+NEAR_TOL_REAL_ROWS_4 = [
+    [2.5182344009680415, -0.14421024141945082, -4.527409066755619e-10, 0.0],
+    [0.0, -6.926001470406233e-09, 0.0, 0.0],
+    [7.247338034954433e-09, 0.0, -3.7398078239420274, -2.567208417744956],
+    [3.429439487651042e-09, -4.126857628498532e-09, 2.5005114211585225e-09, 0.0],
+]
+
+# The near-tol algebras that raised NotASubalgebra while the rank-1 closure
+# identity was compared against the absolute tol: with the comparison
+# relative to its products they have no codimension-one subalgebra.
+RELATIVE_RANK1_REAL_ROWS = [
     [1.5352745633544913e-10, 0, 1.9539072883636717],
     [-6.089820651362956e-09, 0, 5.734660626594348e-10],
     [0, -2.707091277220406, 0],
 ]
-NEAR_TOL_REAL_ROWS_4 = [
+RELATIVE_RANK1_REAL_ROWS_4 = [
     [0, -4.6102602285317885e-09, 2.1933233740949725e-09, 0],
     [0, 1.970295069221839e-09, 0, 0],
     [0, 0.36536135052580043, -6.838488167816733e-09, 3.9729121443769504],
     [-2.7750089049617834, 0, 2.0369641048902754e-10, 0],
 ]
+
+# Regular real algebra (det 2e-9 at tol 1e-9) whose one pair has the cubic
+# x^3 + 2e-9: its depressed form has p = 0, and its one root is -cbrt(2e-9).
+TINY_CUBIC_REAL_ROWS = [[0, -2e-9], [1, 0]]
 
 # Regular real algebra whose one pair has the cubic
 # 1e-8*x^3 - 1e300*x^2 + x: its coefficient ratios overflow a float.

@@ -21,6 +21,7 @@ from support import (
     NO_CODIM1_OVER_Q_ROWS,
     SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
+    TINY_CUBIC_REAL_ROWS,
 )
 
 REALS = {"kind": "R", "tol": 1e-9}
@@ -221,11 +222,23 @@ def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: real root search overflows") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, head", [("onedim", "1 one-dimensional subalgebra"), ("codim1", "1 codimension-one subalgebra")]
+)
+def test_real_cubic_with_zero_linear_term_is_answered(tmp_path, capsys, command, head):
+    path = write_algebra(tmp_path, "tiny.alg", REALS, 2, TINY_CUBIC_REAL_ROWS)
+    code, out, err = run(capsys, command, path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == head
+    assert lines[1].startswith("  span{e1 - 0.0012599210498948732*e2}")
+
+
 def test_codim1_real_candidate_failing_closure_is_one_line_error(tmp_path, capsys):
     path = write_algebra(tmp_path, "neartol.alg", REALS, 3, NEAR_TOL_REAL_ROWS)
     code, out, err = run(capsys, "codim1", path)
     assert (code, out) == (1, "")
-    assert err.startswith("error: candidate for pair (1,3)") and err.count("\n") == 1
+    assert err.startswith("error: candidate for pair (1,2)") and err.count("\n") == 1
 
 
 # Large moduli are read in a child with a time limit, so a primality test

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from evoalg import (
+    EvolutionAlgebra,
     FieldScalar,
     FieldSpec,
     IdenticallyZeroPolynomial,
@@ -270,6 +271,30 @@ def test_roots_never_contain_zero():
             for r in nonzero_roots(poly):
                 assert not r.is_zero()
                 assert poly.evaluate(r).is_zero()
+
+
+def test_real_quadratic_roots_do_not_depend_on_scale():
+    # -3e-6*x^2 - 1e-6*x has the nonzero root -1/3 at every scale; an
+    # absolute floor in the discriminant test read it as a double root.
+    for s in (1e-6, 1.0, 1e6):
+        roots = [r.value for r in nonzero_roots(_poly(R9, 0, -3 * s, -s, 0))]
+        assert len(roots) == 1 and abs(roots[0] + 1 / 3) <= 1e-12
+
+
+def test_real_cubic_with_vanishing_depressed_linear_term():
+    # x^3 + 2e-9: p = 0 in the depressed form, one real root -cbrt(2e-9).
+    roots = [r.value for r in nonzero_roots(_poly(R9, 1, 0, 0, 2e-9))]
+    assert len(roots) == 1 and abs(roots[0] + 2e-9 ** (1 / 3)) <= 1e-15
+
+
+def test_prime_field_refuses_non_int_values():
+    with pytest.raises(TypeError):
+        FieldScalar(F5, 1.5)
+    with pytest.raises(TypeError):
+        FieldScalar(F5, Fraction(7, 2))
+    with pytest.raises(TypeError):
+        EvolutionAlgebra.from_rows(F5, [[1.5, 0], [0, 2.9]])
+    assert scalar_parse("7/2", F5).value == 1
 
 
 def test_poly_render():

@@ -41,9 +41,12 @@ from support import (
     Q,
     R9,
     RANK2_PAIR_ROWS,
+    RELATIVE_RANK1_REAL_ROWS,
+    RELATIVE_RANK1_REAL_ROWS_4,
     SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
     SWAP_2D_ROWS,
+    TINY_CUBIC_REAL_ROWS,
     all_regular_structures,
     elem,
     identity_rows,
@@ -130,13 +133,13 @@ def test_solve_onedim_refuses_a_line_scan_past_the_guard():
 def test_dim2_closed_form_matches_fp_enumeration():
     # Over a prime field in dimension two both strategies apply; the
     # closed form must agree with the projective scan.
-    from evoalg.finder import _lines_by_enumeration, _rank0_findings
+    from evoalg.finder import _lines_by_enumeration, _rank0_search
 
     for p, spec in ((2, F2), (3, F3)):
         for rows in all_regular_structures(p, 2):
             a = make_algebra(spec, rows)
             via_scan = subspace_keys(_lines_by_enumeration(a))
-            via_form = subspace_keys([f.subspace for f in _rank0_findings(a, 1, 2)])
+            via_form = subspace_keys([f.subspace for f in _rank0_search(a, 1, 2)[0]])
             assert via_scan == via_form
 
 
@@ -526,7 +529,7 @@ def test_rank1_vector_is_normalized():
 
 
 @pytest.mark.parametrize(
-    "rows, pair", [(NEAR_TOL_REAL_ROWS, (1, 3)), (NEAR_TOL_REAL_ROWS_4, (2, 3))], ids=["n3", "n4"]
+    "rows, pair", [(NEAR_TOL_REAL_ROWS, (1, 2)), (NEAR_TOL_REAL_ROWS_4, (3, 4))], ids=["n3", "n4"]
 )
 def test_real_candidate_failing_closure_is_a_domain_error(rows, pair):
     a = make_algebra(R9, rows)
@@ -535,3 +538,44 @@ def test_real_candidate_failing_closure_is_a_domain_error(rows, pair):
     message = str(info.value)
     assert f"pair ({pair[0]},{pair[1]})" in message
     assert "1e-09" in message and "tolerance-sensitive" in message
+
+
+@pytest.mark.parametrize("rows", [RELATIVE_RANK1_REAL_ROWS, RELATIVE_RANK1_REAL_ROWS_4], ids=["n3", "n4"])
+def test_real_rank1_closure_is_relative_to_its_products(rows):
+    # Every product of the closure identity is far below tol here; compared
+    # with its products, it fails, so no candidate is built.
+    report = enumerate_codim1(make_algebra(R9, rows))
+    assert report.count == 0
+    assert all(d.closure_holds is False for d in report.diagnostics if d.rank == 1)
+
+
+def _random_sparse_integer_rows(rng):
+    n = rng.randint(3, 5)
+    return [
+        [rng.randint(-3, 3) if i == j or rng.random() < 0.35 else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_real_codim1_is_invariant_under_scaling():
+    # sA and A have the same subalgebras, so the hyperplanes must agree.
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        rows = _random_sparse_integer_rows(rng)
+        a = make_algebra(R9, [[float(x) for x in row] for row in rows])
+        if not a.is_regular():
+            continue
+        checked += 1
+        want = [sub.basis for sub in enumerate_codim1(a).subspaces()]
+        for s in (1e-6, 1e-4, 1e-3, 1e-2, 1e2, 1e6):
+            scaled = make_algebra(R9, [[x * s for x in row] for row in rows])
+            assert [sub.basis for sub in enumerate_codim1(scaled).subspaces()] == want, (rows, s)
+
+
+def test_real_cubic_with_zero_linear_term_has_its_root():
+    a = make_algebra(R9, TINY_CUBIC_REAL_ROWS)
+    (line,) = solve_onedim(a)
+    assert line.render() == "span{e1 - 0.0012599210498948732*e2}"
+    (found,) = enumerate_codim1(a).found
+    assert found.case == CASE_ROOT and abs(found.root.value + 2e-9 ** (1 / 3)) <= 1e-15

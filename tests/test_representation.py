@@ -1,14 +1,39 @@
-"""Raw values inside ``Matrix``, ``Element`` and ``Subspace``: the one
-equality rule of each field, and the entry checks at the API boundary."""
+"""Raw values inside ``Matrix``, ``Element``, ``Subspace`` and
+``LowDegreePoly``: the one equality rule of each field, the entry checks at
+the API boundary, and no ``FieldScalar`` arithmetic behind it."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from evoalg import Element, Matrix, MixedFieldSpecs, Subspace, matvec
-from support import F5, Q, R9, elem, make_algebra, make_matrix
+from evoalg import (
+    Element,
+    FieldScalar,
+    FieldSpec,
+    Matrix,
+    MixedFieldSpecs,
+    NotFiniteField,
+    Subspace,
+    enumerate_codim1,
+    enumerate_subalgebras,
+    matvec,
+    solve_onedim,
+)
+from evoalg.cli import main
+from support import (
+    F5,
+    NO_CODIM1_OVER_Q_ROWS,
+    Q,
+    R9,
+    SWAP_2D_ROWS,
+    elem,
+    identity_rows,
+    make_algebra,
+    make_matrix,
+)
 
 TOL = R9.tol
 
@@ -76,3 +101,51 @@ def test_matvec_coerces_ints_and_rejects_foreign_scalars():
     assert matvec(m, (1, Q.one())) == (Q.from_int(3), Q.from_int(7))
     with pytest.raises(MixedFieldSpecs):
         matvec(m, (F5.one(), 1))
+
+
+_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__truediv__", "__pow__", "inv"
+)
+
+# Rank-0 pairs with roots and drops, rank-1 pairs that hold and fail, and
+# (over R at tol 5e-15) a flagged root; each is regular over Q, F_5 and R.
+_BOUNDARY_ROWS = (
+    NO_CODIM1_OVER_Q_ROWS,
+    identity_rows(3),
+    [[2, 0, 0, 0], [0, 1, 0, 0], [2, 4, 1, 0], [0, 0, 0, 1]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+)
+_R0 = 30.0 + 1.0 / 7.0
+_FLAGGED_ROOT_ROWS = [[-2.0 - _R0, -2.0 * _R0, 0.0], [1.0, _R0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("spec", [Q, F5, R9, FieldSpec.approx_reals(5e-15)], ids=["Q", "F5", "R", "R-flagged"])
+def test_library_does_no_scalar_arithmetic(spec, monkeypatch, tmp_path, capsys):
+    # FieldScalar is only the boundary: the search, the oracle and the CLI
+    # compute on raw values, so they run with its operators disabled.
+    def refuse(*args):
+        raise AssertionError("FieldScalar arithmetic inside the library")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(FieldScalar, name, refuse)
+    real, flagged_case = spec.kind == "R", spec.tol == 5e-15
+    cases = [_FLAGGED_ROOT_ROWS] if flagged_case else list(_BOUNDARY_ROWS)
+    field = {k: v for k, v in (("kind", spec.kind), ("p", spec.p), ("tol", spec.tol)) if v is not None}
+    flagged = 0
+    for k, rows in enumerate(cases + [SWAP_2D_ROWS]):
+        rows = [[float(x) for x in row] for row in rows] if real else rows
+        a = make_algebra(spec, rows)
+        flagged += sum(len(d.flagged_roots) for d in enumerate_codim1(a).diagnostics)
+        if a.dim == 2 or spec.kind == "Fp":
+            solve_onedim(a)
+        if spec.kind == "Fp":
+            enumerate_subalgebras(a)
+        else:
+            with pytest.raises(NotFiniteField):
+                enumerate_subalgebras(a)
+        path = tmp_path / f"a{k}.alg"
+        path.write_text(json.dumps({"field": field, "dim": a.dim, "matrix": [[str(x) for x in r] for r in rows]}))
+        for flag in ("--verbose", "--json"):
+            assert main(["codim1", flag, str(path)]) == 0
+            assert capsys.readouterr().err == ""
+    assert flagged == (1 if flagged_case else 0)
