@@ -9,28 +9,15 @@ fields that cross-checks everything.
 
 from .algebra import Element, EvolutionAlgebra
 from .errors import (
-    BadIndices,
-    DimensionTooSmall,
     EvoAlgError,
-    FileFormatError,
     IdenticallyZeroPolynomial,
-    InversionOfZero,
-    MalformedScalar,
-    MalformedVector,
-    MixedAlgebras,
-    MixedFieldSpecs,
     NonFiniteValue,
-    NonSquareMatrix,
-    NonSquareStructure,
     NotASubalgebra,
-    NotFiniteField,
     NotRegular,
     ParseError,
     SingularMatrix,
     TooLarge,
     UnsupportedFieldDimension,
-    ZeroDenominator,
-    ZeroPair,
 )
 from .field import (
     APPROX_REALS,
@@ -74,32 +61,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "APPROX_REALS",
-    "BadIndices",
     "CASE_DROP_P",
     "CASE_DROP_Q",
     "CASE_ROOT",
     "CASE_ROW",
     "CodimOneFound",
-    "DimensionTooSmall",
     "Element",
     "EvoAlgError",
     "EvolutionAlgebra",
     "FieldScalar",
     "FieldSpec",
-    "FileFormatError",
     "IdenticallyZeroPolynomial",
-    "InversionOfZero",
     "LowDegreePoly",
-    "MalformedScalar",
-    "MalformedVector",
     "Matrix",
-    "MixedAlgebras",
-    "MixedFieldSpecs",
     "NonFiniteValue",
-    "NonSquareMatrix",
-    "NonSquareStructure",
     "NotASubalgebra",
-    "NotFiniteField",
     "NotRegular",
     "PRIME_FIELD",
     "PairDiagnostics",
@@ -112,8 +88,6 @@ __all__ = [
     "Subspace",
     "TooLarge",
     "UnsupportedFieldDimension",
-    "ZeroDenominator",
-    "ZeroPair",
     "closure_condition",
     "closure_cubic",
     "codim1_for_pair",

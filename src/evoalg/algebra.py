@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .errors import MixedAlgebras, NonSquareStructure
 from .field import FieldScalar, FieldSpec, _coerced_value, _render_terms, _value_of
 from .linalg import Matrix
 
@@ -31,7 +30,7 @@ class EvolutionAlgebra:
 
     def __init__(self, structure: Matrix):
         if structure.nrows != structure.ncols:
-            raise NonSquareStructure(
+            raise ValueError(
                 f"structure matrix must be square, got {structure.nrows}x{structure.ncols}"
             )
         self.spec, self.dim, self.structure = structure.spec, structure.nrows, structure
@@ -133,7 +132,7 @@ class Element:
         if not isinstance(other, Element):
             raise TypeError("expected an Element")
         if other.algebra != self.algebra:
-            raise MixedAlgebras("elements belong to different algebras")
+            raise ValueError("elements belong to different algebras")
 
     def is_zero(self) -> bool:
         return all(map(self.algebra.spec._kernel.is_zero, self._coords))

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
-from .errors import EvoAlgError, FileFormatError, MalformedVector, ParseError
-from .field import APPROX_REALS, PRIME_FIELD, RATIONALS, FieldSpec, scalar_parse
+from .errors import EvoAlgError, ParseError
+from .field import APPROX_REALS, PRIME_FIELD, FieldSpec, scalar_parse
 from .finder import (
     CASE_DROP_Q,
     CASE_ROOT,
@@ -57,21 +58,21 @@ class AlgebraFile:
     @classmethod
     def from_json_obj(cls, obj) -> "AlgebraFile":
         if not isinstance(obj, dict):
-            raise FileFormatError("algebra file must be a JSON object")
+            raise ParseError("algebra file must be a JSON object")
         for key in ("field", "dim", "matrix"):
             if key not in obj:
-                raise FileFormatError(f"algebra file is missing the {key!r} key")
+                raise ParseError(f"algebra file is missing the {key!r} key")
         spec = _spec_from_obj(obj["field"])
         dim = obj["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise FileFormatError(f"dim must be a positive integer, got {dim!r}")
+            raise ParseError(f"dim must be a positive integer, got {dim!r}")
         rows = obj["matrix"]
         if not isinstance(rows, list) or len(rows) != dim:
-            raise FileFormatError(f"matrix must be a list of {dim} rows")
+            raise ParseError(f"matrix must be a list of {dim} rows")
         parsed = []
         for row in rows:
             if not isinstance(row, list) or len(row) != dim:
-                raise FileFormatError(f"every matrix row must have {dim} entries")
+                raise ParseError(f"every matrix row must have {dim} entries")
             parsed.append([scalar_parse(str(x), spec) for x in row])
         return cls(spec, dim, Matrix(spec, parsed, ncols=dim))
 
@@ -81,9 +82,9 @@ class AlgebraFile:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
         except OSError as exc:
-            raise FileFormatError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, deep nesting
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 
     def to_json_obj(self) -> dict:
@@ -104,30 +105,17 @@ class AlgebraFile:
 
 def _spec_from_obj(obj) -> FieldSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise FileFormatError("field descriptor must be an object with a 'kind' key")
-    kind = obj["kind"]
+        raise ParseError("field descriptor must be an object with a 'kind' key")
     try:
-        if kind == RATIONALS:
-            return FieldSpec.rationals()
-        if kind == PRIME_FIELD:
-            p = obj.get("p")
-            if not isinstance(p, int):
-                raise FileFormatError("prime field descriptor needs an integer 'p'")
-            return FieldSpec.prime_field(p)
-        if kind == APPROX_REALS:
-            tol = obj.get("tol")
-            if not isinstance(tol, (int, float)):
-                raise FileFormatError("real field descriptor needs a numeric 'tol'")
-            return FieldSpec.approx_reals(float(tol))
+        return FieldSpec(obj["kind"], p=obj.get("p"), tol=obj.get("tol"))
     except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
-    raise FileFormatError(f"unknown field kind {kind!r} (expected Q, Fp, or R)")
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_vector(text: str, algebra: EvolutionAlgebra) -> Element:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != algebra.dim:
-        raise MalformedVector(f"expected {algebra.dim} coordinates, got {len(parts)}: {text!r}")
+        raise ParseError(f"expected {algebra.dim} coordinates, got {len(parts)}: {text!r}")
     return algebra.element([scalar_parse(s, algebra.spec) for s in parts])
 
 
@@ -394,12 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvoAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone: stop quietly, and point stdout at
+        # devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

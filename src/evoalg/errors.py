@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package.
+
+An ``EvoAlgError`` subclass names an outcome that a caller or the CLI
+handles: ``ParseError`` is bad input text (CLI exit code 2), every other
+subclass a domain answer the computation cannot give (exit code 1).
+Misuse of an argument raises the builtin exception Python uses for it:
+``ValueError`` for operands of different fields or algebras, bad shapes,
+bad basis indices and the zero coefficient pair, ``TypeError`` for a
+value of the wrong type, ``IndexError`` for a basis index out of range,
+``ZeroDivisionError`` for the inverse of zero.
+"""
 
 
 class EvoAlgError(Exception):
@@ -9,30 +19,6 @@ class ParseError(EvoAlgError):
     """Malformed textual input: scalars, vectors, or algebra files."""
 
 
-class MalformedScalar(ParseError):
-    """Scalar text does not match the syntax accepted by the field."""
-
-
-class ZeroDenominator(ParseError):
-    """Fraction text with a denominator equal to zero (in the field)."""
-
-
-class MalformedVector(ParseError):
-    """Vector or span text with the wrong arity or shape."""
-
-
-class FileFormatError(ParseError):
-    """Algebra definition file is unreadable or violates the schema."""
-
-
-class MixedFieldSpecs(EvoAlgError):
-    """Operands belong to different fields."""
-
-
-class InversionOfZero(EvoAlgError):
-    """Multiplicative inverse of zero requested."""
-
-
 class NonFiniteValue(EvoAlgError):
     """A real scalar became NaN or infinite."""
 
@@ -41,20 +27,8 @@ class IdenticallyZeroPolynomial(EvoAlgError):
     """Root extraction on the zero polynomial; every scalar is a root."""
 
 
-class NonSquareMatrix(EvoAlgError):
-    """Operation defined only for square matrices."""
-
-
 class SingularMatrix(EvoAlgError):
     """Matrix inversion requested for a singular matrix."""
-
-
-class NonSquareStructure(EvoAlgError):
-    """Structure matrix of an algebra must be square."""
-
-
-class MixedAlgebras(EvoAlgError):
-    """Elements or subspaces of different algebras were combined."""
 
 
 class NotRegular(EvoAlgError):
@@ -65,25 +39,9 @@ class NotASubalgebra(EvoAlgError):
     """Subspace is not closed under the algebra product."""
 
 
-class BadIndices(EvoAlgError):
-    """Basis indices out of range or not distinct."""
-
-
-class DimensionTooSmall(EvoAlgError):
-    """Algebra dimension below the minimum the operation supports."""
-
-
 class UnsupportedFieldDimension(EvoAlgError):
     """No solver for this field/dimension combination is provided."""
 
 
-class ZeroPair(EvoAlgError):
-    """The coefficient pair (alpha, beta) must not be (0, 0)."""
-
-
 class TooLarge(EvoAlgError):
     """Enumeration would exceed the configured size guard."""
-
-
-class NotFiniteField(EvoAlgError):
-    """Exhaustive enumeration works over prime fields only."""

@@ -27,17 +27,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    IdenticallyZeroPolynomial,
-    InversionOfZero,
-    MalformedScalar,
-    MixedFieldSpecs,
-    NonFiniteValue,
-    ZeroDenominator,
-)
+from .errors import IdenticallyZeroPolynomial, NonFiniteValue, ParseError
 
 RATIONALS = "Q"
 PRIME_FIELD = "Fp"
@@ -75,6 +69,11 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON ``true`` is no modulus or tolerance."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _finite(x: float) -> float:
@@ -282,8 +281,8 @@ class _Reals(_Rationals):
         return abs(x - y) <= self.tol * max(map(abs, terms))
 
     def nonzero_roots(self, cs) -> list:
-        """Kept when nonzero and distinct beyond ``tol`` and with
-        ``|cubic(x)|`` within ``tol * max|c|``."""
+        """Kept when nonzero, distinct beyond ``tol`` and accepted by
+        ``_residual_within``."""
         c3, c2, c1, c0 = cs
         tol = self.tol
         if abs(c3) > tol:
@@ -298,12 +297,11 @@ class _Reals(_Rationals):
             candidates = [-c0 / c1]
         else:
             return []
-        bound = tol * max(map(abs, cs))
         out: list[float] = []
         for x in sorted(_newton_polish(c3, c2, c1, c0, x) for x in candidates):
             if not math.isfinite(x) or abs(x) <= tol:
                 continue
-            if abs(_horner4(c3, c2, c1, c0, x)) > bound:
+            if not self._residual_within(cs, x, 1.0):
                 continue
             if out and abs(x - out[-1]) <= tol:
                 continue
@@ -312,7 +310,17 @@ class _Reals(_Rationals):
 
     def is_flagged_root(self, cs, x) -> bool:
         """``|cubic(x)|`` comes within a factor of ten of the bound of ``nonzero_roots``."""
-        return abs(_horner4(*cs, x)) > self.tol * max(map(abs, cs)) / 10.0
+        return not self._residual_within(cs, x, 0.1)
+
+    def _residual_within(self, cs, x, factor: float) -> bool:
+        """The root rule over R: ``|cubic(x)|`` is finite and at most
+        ``factor * tol`` times the largest of the terms it sums, ``|c3 x^3|``,
+        ``|c2 x^2|``, ``|c1 x|`` and ``|c0|``, so a dominant leading
+        coefficient cannot pass a small ``x`` that is no root."""
+        c3, c2, c1, c0 = cs
+        residual = abs(_horner4(c3, c2, c1, c0, x))
+        terms = (c3 * x * x * x, c2 * x * x, c1 * x, c0)
+        return math.isfinite(residual) and residual <= factor * self.tol * max(map(abs, terms))
 
 
 @dataclass(frozen=True)
@@ -321,7 +329,10 @@ class FieldSpec:
 
     ``kind`` is one of ``"Q"``, ``"Fp"``, ``"R"``.  ``p`` is the prime
     modulus (``Fp`` only), ``tol`` the absolute comparison tolerance
-    (``R`` only).  The field's kernel is built once, outside equality.
+    (``R`` only; an int is converted to float).  This is the one check of
+    a field descriptor, the CLI's included: any other value, a bool among
+    them, raises ValueError.  The field's kernel is built once, outside
+    equality.
     """
 
     kind: str
@@ -336,21 +347,21 @@ class FieldSpec:
         elif self.kind == PRIME_FIELD:
             if self.tol is not None:
                 raise ValueError("prime fields take no tolerance")
-            if not isinstance(self.p, int) or not _is_prime(self.p):
+            if not _is_int(self.p) or not _is_prime(self.p):
                 raise ValueError(f"modulus must be prime, got {self.p!r}")
             kernel = _PrimeField(self.p)
         elif self.kind == APPROX_REALS:
             if self.p is not None:
                 raise ValueError("reals take no modulus")
             tol = self.tol
-            if isinstance(tol, int):
+            if _is_int(tol) and abs(tol) <= sys.float_info.max:
                 tol = float(tol)
                 object.__setattr__(self, "tol", tol)
             if not isinstance(tol, float) or not math.isfinite(tol) or tol <= 0:
                 raise ValueError(f"tolerance must be a positive finite float, got {self.tol!r}")
             kernel = _Reals(tol)
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {self.kind!r} (expected Q, Fp, or R)")
         object.__setattr__(self, "_kernel", kernel)
 
     @classmethod
@@ -435,7 +446,7 @@ class FieldScalar:
 
     def inv(self) -> "FieldScalar":
         if self.is_zero():
-            raise InversionOfZero(f"cannot invert zero in {self.spec.describe()}")
+            raise ZeroDivisionError(f"cannot invert zero in {self.spec.describe()}")
         return FieldScalar(self.spec, self.spec._kernel.inv(self.value))
 
     def __truediv__(self, other):
@@ -482,7 +493,7 @@ def _value_of(spec: FieldSpec, x, *, ints: bool = False):
     if not isinstance(x, FieldScalar):
         raise TypeError(f"expected a FieldScalar, got {type(x).__name__}")
     if x.spec != spec:
-        raise MixedFieldSpecs(f"scalar over {x.spec.describe()} where {spec.describe()} is expected")
+        raise ValueError(f"scalar over {x.spec.describe()} where {spec.describe()} is expected")
     return x.value
 
 
@@ -506,13 +517,13 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
     t = text.strip()
     if spec.kind == APPROX_REALS:
         if _FRACTION_RE.match(t):
-            raise MalformedScalar(f"fraction syntax is only for exact fields: {text!r}")
+            raise ParseError(f"fraction syntax is only for exact fields: {text!r}")
         if not _DECIMAL_RE.match(t):
-            raise MalformedScalar(f"not a real scalar: {text!r}")
+            raise ParseError(f"not a real scalar: {text!r}")
         try:
             return FieldScalar(spec, float(t))
         except NonFiniteValue as exc:
-            raise MalformedScalar(f"real scalar overflows to infinity: {text!r}") from exc
+            raise ParseError(f"real scalar overflows to infinity: {text!r}") from exc
     if _INT_RE.match(t):
         return FieldScalar(spec, int(t))
     m = _FRACTION_RE.match(t)
@@ -520,14 +531,14 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
         num, den = int(m.group(1)), int(m.group(2))
         if spec.kind == RATIONALS:
             if den == 0:
-                raise ZeroDenominator(f"zero denominator in {text!r}")
+                raise ParseError(f"zero denominator in {text!r}")
             return FieldScalar(spec, Fraction(num, den))
         if den % spec.p == 0:
-            raise ZeroDenominator(f"denominator of {text!r} is zero in {spec.describe()}")
+            raise ParseError(f"denominator of {text!r} is zero in {spec.describe()}")
         return FieldScalar(spec, num * spec._kernel.inv(den))
     if _DECIMAL_RE.match(t):
-        raise MalformedScalar(f"decimal syntax requires the real field: {text!r}")
-    raise MalformedScalar(f"not a scalar: {text!r}")
+        raise ParseError(f"decimal syntax requires the real field: {text!r}")
+    raise ParseError(f"not a scalar: {text!r}")
 
 
 class LowDegreePoly:
@@ -543,7 +554,7 @@ class LowDegreePoly:
     def __init__(self, c3: FieldScalar, c2: FieldScalar, c1: FieldScalar, c0: FieldScalar):
         spec = c3.spec
         if any(c.spec != spec for c in (c2, c1, c0)):
-            raise MixedFieldSpecs("polynomial coefficients must share one field")
+            raise ValueError("polynomial coefficients must share one field")
         self.spec = spec
         self._cs = (c3.value, c2.value, c1.value, c0.value)
 
@@ -611,7 +622,7 @@ def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:
     the reduced integer polynomial are tested exactly; over F_p every
     nonzero residue is evaluated; over R closed-form real roots are
     Newton-polished and kept when the residual ``|poly(x)|`` stays within
-    ``tol * max|coefficient|``.
+    ``tol`` times the largest of the terms ``|c_k x^k|`` it sums.
 
     Raises IdenticallyZeroPolynomial when every coefficient is zero, since
     then every scalar is a root and the caller must decide what that means.

@@ -23,35 +23,25 @@ Rank-0 and rank-1 pairs read every row.
 Dimension two is the same pair scan: the submatrix has no rows, so the
 single pair has rank 0, and the rank-0 formulas yield the complete list of
 one-dimensional subalgebras.  Over prime fields, one-dimensional
-subalgebras of any dimension are found by scanning projective
-representatives directly, refused with TooLarge above
-``DEFAULT_MAX_SUBSPACES`` lines.  The scans, the closure identity, the
-rank-0 cubic (built once per pair) and the candidates run on raw values;
-``FieldScalar`` appears only in findings and diagnostics.  The field's
-kernel decides the closure identity (over R relative to its products)
-and finds and flags the cubic's roots.
+subalgebras of any dimension are the closed lines of the oracle's stream
+of one-dimensional subspaces, which refuses more than
+``DEFAULT_MAX_SUBSPACES`` of them with TooLarge.  The scans, the closure
+identity, the rank-0 cubic (built once per pair) and the candidates run
+on raw values; ``FieldScalar`` appears only in findings and diagnostics.
+The field's kernel decides the closure identity (over R relative to its
+products) and finds and flags the cubic's roots.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
-from .errors import (
-    BadIndices,
-    DimensionTooSmall,
-    MixedAlgebras,
-    NotASubalgebra,
-    NotRegular,
-    TooLarge,
-    UnsupportedFieldDimension,
-    ZeroPair,
-)
+from .errors import NotASubalgebra, NotRegular, UnsupportedFieldDimension
 from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
 from .linalg import Matrix, _pair_rank
-from .oracle import DEFAULT_MAX_SUBSPACES
+from .oracle import enumerate_subspaces_of
 from .subspace import Subspace
 
 CASE_ROW = "rank1-row"
@@ -133,14 +123,14 @@ class SubalgebraReport:
 def _check_pair(a: EvolutionAlgebra, p: int, q: int) -> None:
     n = a.dim
     if not (1 <= p <= n and 1 <= q <= n) or p == q:
-        raise BadIndices(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
+        raise ValueError(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
 
 
 def _check_pair_with_rows(a: EvolutionAlgebra, p: int, q: int) -> None:
     """``_check_pair``, for entry points that also need an index outside
     the pair (a pair submatrix with at least one row)."""
     if a.dim < 3:
-        raise DimensionTooSmall(f"pair submatrix needs dimension >= 3, got {a.dim}")
+        raise ValueError(f"pair submatrix needs dimension >= 3, got {a.dim}")
     _check_pair(a, p, q)
 
 
@@ -165,7 +155,7 @@ def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
     span{x} squares back onto x after rescaling (for x nonzero).
     """
     if x.algebra != a:
-        raise MixedAlgebras("element from a different algebra")
+        raise ValueError("element from a different algebra")
     if not a.is_regular():
         raise NotRegular("one-dimensional residual needs a regular algebra")
     kern = a.spec._kernel
@@ -176,36 +166,19 @@ def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
 def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
     """All one-dimensional subalgebras, canonically ordered.
 
-    Over a prime field every projective line is tested directly.  In
+    Over a prime field every line of the oracle's stream is tested.  In
     dimension two the closed form applies over any field.  Infinite
     fields in dimension three and above are out of scope.
     """
     if not a.is_regular():
         raise NotRegular("one-dimensional search needs a regular algebra")
     if a.spec.kind == PRIME_FIELD:
-        return _lines_by_enumeration(a)
+        return [line for line in enumerate_subspaces_of(a, 1) if line.is_subalgebra()]
     if a.dim == 2:
         return sorted((found.subspace for found in _rank0_search(a, 1, 2)[0]), key=Subspace.sort_key)
     raise UnsupportedFieldDimension(
         f"one-dimensional search over {a.spec.describe()} supports dimension 2 only"
     )
-
-
-def _lines_by_enumeration(a: EvolutionAlgebra) -> list[Subspace]:
-    """Every line span{u}, u with leading coordinate 1, that contains u^2;
-    refused with TooLarge above ``DEFAULT_MAX_SUBSPACES`` lines."""
-    p, n = a.spec.p, a.dim
-    count = (p**n - 1) // (p - 1)
-    if count > DEFAULT_MAX_SUBSPACES:
-        raise TooLarge(f"{count} lines exceed the guard of {DEFAULT_MAX_SUBSPACES}")
-    out = []
-    for lead in range(n):
-        for tail in itertools.product(range(p), repeat=n - lead - 1):
-            u = Element._of(a, (0,) * lead + (1,) + tail)
-            line = Subspace._canonical(a, (u._coords,), (lead,))
-            if line.contains(u * u):
-                out.append(line)
-    return sorted(out, key=Subspace.sort_key)
 
 
 def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
@@ -252,7 +225,7 @@ def closure_condition(
     """
     _check_pair(a, p, q)
     if alpha.is_zero() and beta.is_zero():
-        raise ZeroPair("coefficient pair (0, 0) spans nothing")
+        raise ValueError("coefficient pair (0, 0) spans nothing")
     return _closure_verdict(a, p, q, _value_of(a.spec, alpha), _value_of(a.spec, beta))[2]
 
 
@@ -369,7 +342,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise NotRegular("codimension-one search needs a regular algebra")
     n = a.dim
     if n < 2:
-        raise DimensionTooSmall(f"codimension-one search needs dimension >= 2, got {n}")
+        raise UnsupportedFieldDimension(f"codimension-one search needs dimension >= 2, got {n}")
     all_found: list[CodimOneFound] = []
     diags: list[PairDiagnostics] = []
     columns = list(zip(*a.structure._rows))

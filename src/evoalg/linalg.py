@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MixedFieldSpecs, NonSquareMatrix, SingularMatrix
+from .errors import SingularMatrix
 from .field import FieldScalar, FieldSpec, _coerced_value, _value_of
 
 
@@ -75,7 +75,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.spec != self.spec:
-            raise MixedFieldSpecs("cannot multiply matrices over different fields")
+            raise ValueError("cannot multiply matrices over different fields")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         dot = self.spec._kernel.dot
@@ -226,7 +226,7 @@ def rref(m: Matrix) -> RrefResult:
 def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
     """Determinant and pivot count, from one elimination."""
     if m.nrows != m.ncols:
-        raise NonSquareMatrix(f"determinant of a {m.nrows}x{m.ncols} matrix")
+        raise ValueError(f"determinant of a {m.nrows}x{m.ncols} matrix")
     pivots, det = _eliminate([list(row) for row in m._rows], m.spec._kernel)
     rank = len(pivots)
     return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
@@ -240,7 +240,7 @@ def determinant(m: Matrix) -> FieldScalar:
 def inverse(m: Matrix) -> Matrix:
     """Matrix inverse via Gauss-Jordan on the augmented matrix."""
     if m.nrows != m.ncols:
-        raise NonSquareMatrix(f"inverse of a {m.nrows}x{m.ncols} matrix")
+        raise ValueError(f"inverse of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
     kern = m.spec._kernel
     rows = [

@@ -13,7 +13,7 @@ import itertools
 from typing import Iterator
 
 from .algebra import EvolutionAlgebra
-from .errors import NotFiniteField, TooLarge
+from .errors import TooLarge, UnsupportedFieldDimension
 from .field import PRIME_FIELD, FieldSpec
 from .linalg import Matrix
 from .subspace import Subspace
@@ -43,11 +43,11 @@ def enumerate_subspaces(
     """Yield the canonical RREF basis matrix of every m-dimensional
     subspace of F_p^n exactly once.
 
-    Raises NotFiniteField for non-prime-field specs and TooLarge when the
-    subspace count exceeds ``max_count``.
+    Raises UnsupportedFieldDimension for non-prime-field specs and
+    TooLarge when the subspace count exceeds ``max_count``.
     """
     if spec.kind != PRIME_FIELD:
-        raise NotFiniteField(f"subspace enumeration needs a prime field, got {spec.describe()}")
+        raise UnsupportedFieldDimension(f"subspace enumeration needs a prime field, got {spec.describe()}")
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     count = gaussian_binomial(n, m, spec.p)
@@ -78,7 +78,10 @@ def enumerate_subspaces_of(
     """Same stream as :func:`enumerate_subspaces`, wrapped as subspaces of
     the given algebra.  Each basis is canonical already, with its pivots at
     the leading ones, so it is not reduced again."""
-    bases = enumerate_subspaces(algebra.spec, algebra.dim, m, max_count=max_count)
+    return _as_subspaces(algebra, enumerate_subspaces(algebra.spec, algebra.dim, m, max_count=max_count))
+
+
+def _as_subspaces(algebra: EvolutionAlgebra, bases: Iterator[Matrix]) -> Iterator[Subspace]:
     return (Subspace._canonical(algebra, b._rows, tuple(r.index(1) for r in b._rows)) for b in bases)
 
 
@@ -87,14 +90,13 @@ def enumerate_subalgebras(
 ) -> list[Subspace]:
     """Every subspace of the algebra that is closed under the product,
     including the zero subspace and the full algebra, canonically ordered.
+    The guard applies to the total over all dimensions.
     """
-    if algebra.spec.kind != PRIME_FIELD:
-        raise NotFiniteField(
-            f"subalgebra enumeration needs a prime field, got {algebra.spec.describe()}"
-        )
-    total = subspace_count(algebra.dim, algebra.spec.p)
+    spec, n = algebra.spec, algebra.dim
+    if spec.kind != PRIME_FIELD:
+        raise UnsupportedFieldDimension(f"subalgebra enumeration needs a prime field, got {spec.describe()}")
+    total = subspace_count(n, spec.p)
     if total > max_count:
         raise TooLarge(f"{total} subspaces exceed the guard of {max_count}")
-    dims = range(algebra.dim + 1)
-    subs = (s for m in dims for s in enumerate_subspaces_of(algebra, m, max_count=max_count))
+    subs = (s for m in range(n + 1) for s in _as_subspaces(algebra, _rref_profiles(spec, n, m)))
     return sorted((s for s in subs if s.is_subalgebra()), key=Subspace.sort_key)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .algebra import Element, EvolutionAlgebra
-from .errors import MixedAlgebras, MixedFieldSpecs, NotASubalgebra, NotRegular
+from .errors import NotASubalgebra, NotRegular
 from .linalg import Matrix, rref
 
 
@@ -27,7 +27,7 @@ class Subspace:
 
     def __init__(self, algebra: EvolutionAlgebra, spanning: Matrix):
         if spanning.spec != algebra.spec:
-            raise MixedFieldSpecs("spanning matrix over a different field")
+            raise ValueError("spanning matrix over a different field")
         if spanning.ncols != algebra.dim:
             raise ValueError(
                 f"spanning rows have width {spanning.ncols}, algebra dimension is {algebra.dim}"
@@ -51,7 +51,7 @@ class Subspace:
         """Canonical subspace spanned by the given elements."""
         elements = list(elements)
         if any(e.algebra != algebra for e in elements):
-            raise MixedAlgebras("spanning element from a different algebra")
+            raise ValueError("spanning element from a different algebra")
         return cls(algebra, Matrix._trusted(algebra.spec, tuple(e._coords for e in elements), algebra.dim))
 
     @property
@@ -68,7 +68,7 @@ class Subspace:
         measured against the magnitudes cancelled (``field._Reals.in_span``).
         """
         if u.algebra != self.algebra:
-            raise MixedAlgebras("element from a different algebra")
+            raise ValueError("element from a different algebra")
         return self.algebra.spec._kernel.in_span(u._coords, self.basis._rows, self.pivot_cols)
 
     def is_subalgebra(self) -> bool:

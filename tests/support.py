@@ -88,6 +88,14 @@ TINY_CUBIC_REAL_ROWS = [[0, -2e-9], [1, 0]]
 # 1e-8*x^3 - 1e300*x^2 + x: its coefficient ratios overflow a float.
 CUBIC_OVERFLOW_REAL_ROWS = [[1, 0], [1e-8, 1e300]]
 
+# Regular real algebra whose pair (1,2) has the cubic (x - 34 - 1/3)(x - 1)(x + 2).
+# At tol 1e-15 the polished root 1 leaves |cubic(x)| at about 4.1e-16 times the
+# largest term it sums, inside the flag band (tol/10, tol]; the other two
+# roots leave an exactly zero residual.
+_R0 = 34.0 + 1.0 / 3.0
+FLAGGED_ROOT_ROWS = [[-2.0 - _R0, -2.0 * _R0, 0.0], [1.0, _R0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
+FLAGGED_ROOT_REALS = FieldSpec.approx_reals(1e-15)
+
 
 def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import evoalg
-from evoalg import FileFormatError
+from evoalg import ParseError
 from evoalg.cli import AlgebraFile, main
 from support import (
     CUBIC_OVERFLOW_REAL_ROWS,
@@ -22,21 +22,26 @@ from support import (
     SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
     TINY_CUBIC_REAL_ROWS,
+    identity_rows,
 )
 
 REALS = {"kind": "R", "tol": 1e-9}
 
 
-def run_module(*argv, timeout=None):
-    """``python -m evoalg`` in a child that imports the same package as this
-    process, whether it comes from an install or from pytest's path."""
+def module_env():
+    """Environment for a ``python -m evoalg`` child that imports the same
+    package as this process, whether it comes from an install or from
+    pytest's path."""
     path = [str(Path(evoalg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def run_module(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "evoalg", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=module_env(),
         timeout=timeout,
     )
 
@@ -206,13 +211,37 @@ def test_regular_small_real_pivots(tmp_path, capsys):
 
 def test_boolean_dim_is_rejected(tmp_path, capsys):
     obj = {"field": {"kind": "Q"}, "dim": True, "matrix": [["2"]]}
-    with pytest.raises(FileFormatError):
+    with pytest.raises(ParseError, match="dim must be a positive integer, got True"):
         AlgebraFile.from_json_obj(obj)
     path = tmp_path / "bool.alg"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "info", str(path), "--json")
     assert (code, out) == (2, "")
     assert "dim" in err
+
+
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ({"kind": "R", "tol": True}, "tolerance must be a positive finite float, got True"),
+        ({"kind": "Q", "p": 5, "tol": 3}, "rationals take no field parameters"),
+        ({"kind": "Fp", "p": True}, "modulus must be prime, got True"),
+        ({"kind": "R", "tol": 10**400}, "tolerance must be a positive finite float"),
+    ],
+    ids=["R-tol-true", "Q-with-p-and-tol", "Fp-p-true", "R-tol-huge-int"],
+)
+def test_bad_field_descriptor_is_usage_error(tmp_path, capsys, field, reason):
+    path = write_algebra(tmp_path, "field.alg", field, 1, [[1]])
+    code, out, err = run(capsys, "info", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
+
+def test_unknown_field_keys_are_ignored(tmp_path, capsys):
+    path = write_algebra(tmp_path, "extra.alg", {"kind": "Fp", "p": 5, "note": "x"}, 1, [[2]])
+    code, out, err = run(capsys, "info", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["field: F_5", "dim: 1"]
 
 
 def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
@@ -348,6 +377,17 @@ def test_schema_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe", b"1" * 5000, b"[" * 100_000], ids=["bad-utf8", "digit-limit", "deep-nesting"]
+)
+def test_unreadable_json_is_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "odd.alg"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert "is not valid JSON" in err and err.count("\n") == 1
+
+
 def test_output_is_deterministic(dense3, capsys):
     first = run(capsys, "codim1", dense3, "--verbose", "--json")
     second = run(capsys, "codim1", dense3, "--verbose", "--json")
@@ -366,6 +406,23 @@ def test_module_entry_point(dense3):
     proc = run_module("regular", dense3)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "regular (det = -1)"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # As in `evoalg enumerate id4.alg | head -1`, with the reader gone
+    # before the first write.
+    path = write_algebra(tmp_path, "id4.alg", {"kind": "Fp", "p": 3}, 4, identity_rows(4))
+    with subprocess.Popen(
+        [sys.executable, "-m", "evoalg", "enumerate", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=module_env(),
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    assert err == ""
 
 
 def test_usage_error_exit_code():

@@ -13,15 +13,12 @@ from evoalg import (
     CASE_DROP_Q,
     CASE_ROOT,
     CASE_ROW,
-    BadIndices,
-    DimensionTooSmall,
     FieldSpec,
     NotASubalgebra,
     NotRegular,
     Subspace,
     TooLarge,
     UnsupportedFieldDimension,
-    ZeroPair,
     closure_condition,
     closure_cubic,
     codim1_for_pair,
@@ -35,6 +32,8 @@ from evoalg import (
 from support import (
     F2,
     F3,
+    FLAGGED_ROOT_REALS,
+    FLAGGED_ROOT_ROWS,
     NEAR_TOL_REAL_ROWS,
     NEAR_TOL_REAL_ROWS_4,
     NO_CODIM1_OVER_Q_ROWS,
@@ -132,18 +131,21 @@ def test_solve_onedim_refuses_a_line_scan_past_the_guard():
 
 def test_dim2_closed_form_matches_fp_enumeration():
     # Over a prime field in dimension two both strategies apply; the
-    # closed form must agree with the projective scan.
-    from evoalg.finder import _lines_by_enumeration, _rank0_search
+    # closed form must agree with the line scan of solve_onedim.
+    from evoalg.finder import _rank0_search
 
     for p, spec in ((2, F2), (3, F3)):
         for rows in all_regular_structures(p, 2):
             a = make_algebra(spec, rows)
-            via_scan = subspace_keys(_lines_by_enumeration(a))
+            via_scan = subspace_keys(solve_onedim(a))
             via_form = subspace_keys([f.subspace for f in _rank0_search(a, 1, 2)[0]])
             assert via_scan == via_form
 
 
 # -- pair submatrices and the closure conditions -----------------------
+
+_BAD_PAIR = r"need distinct basis indices in 1\.\.3, got \(\d, \d\)"
+_NO_PAIR_ROWS = "pair submatrix needs dimension >= 3, got 2"
 
 
 def test_pair_submatrix_rank2():
@@ -175,11 +177,11 @@ def test_pair_submatrix_normalizes_order():
 
 def test_pair_submatrix_index_errors():
     a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)
-    with pytest.raises(BadIndices):
+    with pytest.raises(ValueError, match=_BAD_PAIR):
         pair_submatrix(a, 1, 1)
-    with pytest.raises(BadIndices):
+    with pytest.raises(ValueError, match=_BAD_PAIR):
         pair_submatrix(a, 0, 2)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValueError, match=_NO_PAIR_ROWS):
         pair_submatrix(make_algebra(Q, identity_rows(2)), 1, 2)
 
 
@@ -195,17 +197,17 @@ def test_pair_submatrix_index_errors():
     ids=["pair_submatrix", "closure_cubic", "codim1_necessary", "closure_condition"],
 )
 def test_bad_indices_at_every_pair_entry_point(entry, pair):
-    with pytest.raises(BadIndices):
+    with pytest.raises(ValueError, match=_BAD_PAIR):
         entry(make_algebra(Q, NO_CODIM1_OVER_Q_ROWS), *pair)
 
 
 def test_pair_error_precedence():
     small = make_algebra(Q, identity_rows(2))
     for entry in (pair_submatrix, codim1_necessary, codim1_for_pair):
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(ValueError, match=_NO_PAIR_ROWS):
             entry(small, 1, 1)
     a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)
-    with pytest.raises(BadIndices):
+    with pytest.raises(ValueError, match=_BAD_PAIR):
         closure_condition(a, 2, 2, Q.zero(), Q.zero())
 
 
@@ -233,7 +235,7 @@ def test_closure_condition_trivial_axis():
 
 def test_closure_condition_zero_pair():
     a = make_algebra(Q, identity_rows(3))
-    with pytest.raises(ZeroPair):
+    with pytest.raises(ValueError, match=r"coefficient pair \(0, 0\) spans nothing"):
         closure_condition(a, 1, 2, Q.zero(), Q.zero())
 
 
@@ -346,7 +348,7 @@ def test_enumerate_codim1_dim2_prime_field_matches_oracle():
 
 
 def test_enumerate_codim1_dimension_guard():
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(UnsupportedFieldDimension, match="codimension-one search needs dimension >= 2, got 1"):
         enumerate_codim1(make_algebra(Q, [[2]]))
 
 
@@ -416,9 +418,9 @@ def test_necessary_condition_examples():
 
 def test_necessary_condition_guards():
     a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)
-    with pytest.raises(BadIndices):
+    with pytest.raises(ValueError, match=_BAD_PAIR):
         codim1_necessary(a, 2, 2)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValueError, match=_NO_PAIR_ROWS):
         codim1_necessary(make_algebra(Q, identity_rows(2)), 1, 2)
 
 
@@ -470,17 +472,14 @@ def test_diagnostics_record_raw_rows():
 
 
 def test_real_diagnostics_flag_near_tolerance_roots():
-    # Frozen fixture: the cubic (x - 30 - 1/7)(x - 1)(x + 2) leaves a
-    # polished residual of ~1.07e-13 at the big root; with tol 5e-15 the
-    # flag band (tol*scale/10, tol*scale] catches exactly that root.
-    spec = FieldSpec.approx_reals(5e-15)
-    r0 = 30.0 + 1.0 / 7.0
-    rows = [[-2.0 - r0, -2.0 * r0, 0.0], [1.0, r0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
-    a = make_algebra(spec, rows)
+    # Frozen fixture: of the three roots only the one near 1 has a residual
+    # in the flag band.
+    a = make_algebra(FLAGGED_ROOT_REALS, FLAGGED_ROOT_ROWS)
     report = enumerate_codim1(a)
     d12 = {(d.p, d.q): d for d in report.diagnostics}[(1, 2)]
     assert len(d12.roots) == 3
-    assert [x.value for x in d12.flagged_roots] == [r0]
+    assert [x.value for x in d12.flagged_roots] == [d12.roots[1].value]
+    assert abs(d12.roots[1].value - 1.0) <= 1e-15
 
 
 def test_real_flags_empty_for_well_conditioned_roots():

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from evoalg import (
-    NotFiniteField,
     Subspace,
     TooLarge,
+    UnsupportedFieldDimension,
     enumerate_subalgebras,
     enumerate_subspaces,
     enumerate_subspaces_of,
@@ -148,7 +148,7 @@ def test_size_guard():
 
 
 def test_non_finite_field_rejected():
-    with pytest.raises(NotFiniteField):
+    with pytest.raises(UnsupportedFieldDimension, match="subspace enumeration needs a prime field, got Q"):
         list(enumerate_subspaces(Q, 3, 1))
-    with pytest.raises(NotFiniteField):
+    with pytest.raises(UnsupportedFieldDimension, match="subalgebra enumeration needs a prime field, got Q"):
         enumerate_subalgebras(make_algebra(Q, identity_rows(2)))

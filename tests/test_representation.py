@@ -12,11 +12,9 @@ import pytest
 from evoalg import (
     Element,
     FieldScalar,
-    FieldSpec,
     Matrix,
-    MixedFieldSpecs,
-    NotFiniteField,
     Subspace,
+    UnsupportedFieldDimension,
     enumerate_codim1,
     enumerate_subalgebras,
     matvec,
@@ -25,6 +23,8 @@ from evoalg import (
 from evoalg.cli import main
 from support import (
     F5,
+    FLAGGED_ROOT_REALS,
+    FLAGGED_ROOT_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
     Q,
     R9,
@@ -78,28 +78,28 @@ def test_rational_entries_from_ints_and_fractions_agree():
 def test_matrix_constructor_checks_every_entry():
     with pytest.raises(TypeError):
         Matrix(Q, [[Q.one(), 1]])
-    with pytest.raises(MixedFieldSpecs):
+    with pytest.raises(ValueError, match="scalar over F_5 where Q is expected"):
         Matrix(Q, [[Q.one(), F5.one()]])
 
 
 def test_element_constructors_reject_foreign_scalars():
     a = make_algebra(Q, [[1, 0], [0, 1]])
-    with pytest.raises(MixedFieldSpecs):
+    with pytest.raises(ValueError, match="scalar over F_5 where Q is expected"):
         Element(a, (Q.one(), F5.one()))
-    with pytest.raises(MixedFieldSpecs):
+    with pytest.raises(ValueError, match="scalar over F_5 where Q is expected"):
         a.element([F5.one(), 0])
 
 
 def test_subspace_rejects_matrix_over_another_field():
     a = make_algebra(Q, [[1, 0], [0, 1]])
-    with pytest.raises(MixedFieldSpecs):
+    with pytest.raises(ValueError, match="spanning matrix over a different field"):
         Subspace(a, make_matrix(F5, [[1, 0]]))
 
 
 def test_matvec_coerces_ints_and_rejects_foreign_scalars():
     m = make_matrix(Q, [[1, 2], [3, 4]])
     assert matvec(m, (1, Q.one())) == (Q.from_int(3), Q.from_int(7))
-    with pytest.raises(MixedFieldSpecs):
+    with pytest.raises(ValueError, match="scalar over F_5 where Q is expected"):
         matvec(m, (F5.one(), 1))
 
 
@@ -108,18 +108,16 @@ _ARITHMETIC = (
 )
 
 # Rank-0 pairs with roots and drops, rank-1 pairs that hold and fail, and
-# (over R at tol 5e-15) a flagged root; each is regular over Q, F_5 and R.
+# (over R at tol 1e-15) a flagged root; each is regular over Q, F_5 and R.
 _BOUNDARY_ROWS = (
     NO_CODIM1_OVER_Q_ROWS,
     identity_rows(3),
     [[2, 0, 0, 0], [0, 1, 0, 0], [2, 4, 1, 0], [0, 0, 0, 1]],
     [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
 )
-_R0 = 30.0 + 1.0 / 7.0
-_FLAGGED_ROOT_ROWS = [[-2.0 - _R0, -2.0 * _R0, 0.0], [1.0, _R0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
-@pytest.mark.parametrize("spec", [Q, F5, R9, FieldSpec.approx_reals(5e-15)], ids=["Q", "F5", "R", "R-flagged"])
+@pytest.mark.parametrize("spec", [Q, F5, R9, FLAGGED_ROOT_REALS], ids=["Q", "F5", "R", "R-flagged"])
 def test_library_does_no_scalar_arithmetic(spec, monkeypatch, tmp_path, capsys):
     # FieldScalar is only the boundary: the search, the oracle and the CLI
     # compute on raw values, so they run with its operators disabled.
@@ -128,8 +126,8 @@ def test_library_does_no_scalar_arithmetic(spec, monkeypatch, tmp_path, capsys):
 
     for name in _ARITHMETIC:
         monkeypatch.setattr(FieldScalar, name, refuse)
-    real, flagged_case = spec.kind == "R", spec.tol == 5e-15
-    cases = [_FLAGGED_ROOT_ROWS] if flagged_case else list(_BOUNDARY_ROWS)
+    real, flagged_case = spec.kind == "R", spec is FLAGGED_ROOT_REALS
+    cases = [FLAGGED_ROOT_ROWS] if flagged_case else list(_BOUNDARY_ROWS)
     field = {k: v for k, v in (("kind", spec.kind), ("p", spec.p), ("tol", spec.tol)) if v is not None}
     flagged = 0
     for k, rows in enumerate(cases + [SWAP_2D_ROWS]):
@@ -141,7 +139,7 @@ def test_library_does_no_scalar_arithmetic(spec, monkeypatch, tmp_path, capsys):
         if spec.kind == "Fp":
             enumerate_subalgebras(a)
         else:
-            with pytest.raises(NotFiniteField):
+            with pytest.raises(UnsupportedFieldDimension, match="subalgebra enumeration needs a prime field"):
                 enumerate_subalgebras(a)
         path = tmp_path / f"a{k}.alg"
         path.write_text(json.dumps({"field": field, "dim": a.dim, "matrix": [[str(x) for x in r] for r in rows]}))
