@@ -54,7 +54,7 @@ class EvolutionAlgebra:
     def is_regular(self) -> bool:
         """Whether the elimination behind ``determinant`` found a pivot in
         every column (over R: one above the tolerance), however small the
-        product of those pivots."""
+        product of those pivots; over Q that is fraction-free elimination."""
         self.determinant()
         return self._rank == self.dim
 

@@ -154,10 +154,36 @@ class _Rationals:
         """Whether ``x`` and ``y``, two sums of the raw values ``terms``, are equal."""
         return x == y
 
+    @staticmethod
+    def _cleared(xs) -> tuple[list[int], int]:
+        """The Fractions ``xs`` times the lcm of their denominators, as
+        ints, and that lcm."""
+        den = math.lcm(*(x.denominator for x in xs))
+        return [x.numerator * (den // x.denominator) for x in xs], den
+
+    def det_and_rank(self, rows) -> tuple[Fraction, int]:
+        """Determinant and rank of the square grid ``rows``, by Bareiss
+        elimination on its rows cleared of denominators: every entry is
+        then a minor, so each division is exact.  Pivots and row swaps are
+        those of ``linalg._eliminate``; a column without a pivot is dropped."""
+        cleared = [self._cleared(row) for row in rows]
+        rest, scale = [ints for ints, _ in cleared], math.prod(den for _, den in cleared)
+        sign, prev, rank = 1, 1, 0
+        while rest and rest[0]:
+            i = next((i for i, row in enumerate(rest) if row[0]), -1)
+            if i < 0:
+                rest = [row[1:] for row in rest]
+                continue
+            if i:
+                rest[0], rest[i], sign = rest[i], rest[0], -sign
+            piv, *ptail = rest[0]
+            rest = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], ptail)] for row in rest[1:]]
+            prev, rank = piv, rank + 1
+        return (Fraction(sign * prev, scale) if rank == len(rows) else self.zero), rank
+
     def nonzero_roots(self, cs) -> list:
         """Sorted nonzero roots of the cubic with raw coefficients ``cs``."""
-        den = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * den) for c in cs]
+        ints, _ = self._cleared(cs)
         g = math.gcd(*ints)
         if g > 1:
             ints = [c // g for c in ints]
@@ -181,6 +207,7 @@ class _PrimeField(_Rationals):
     """Int residues mod p, reduced after every product, sum and difference."""
 
     zero, one = 0, 1
+    det_and_rank = None  # linalg's forward elimination
 
     def __init__(self, p: int):
         self.p = p
@@ -211,6 +238,7 @@ class _Reals(_Rationals):
     later into an overwritten entry or a zeroed row."""
 
     zero, one = 0.0, 1.0
+    det_and_rank = None  # linalg's forward elimination
 
     def __init__(self, tol: float):
         self.tol = tol

@@ -3,16 +3,16 @@
 ``Matrix`` stores raw values (see ``field``): its constructor unwraps
 ``FieldScalar`` entries once, ``Matrix._trusted`` takes canonical raw rows
 as they are, and ``rows``/``row``/``entry`` create ``FieldScalar`` on the
-way out.  ``rref``, ``determinant`` and ``inverse`` share one forward
-elimination on the raw rows, through the ``FieldSpec``'s kernel with no
-field check per operation: ``rref`` and ``inverse`` finish it with a back
-pass over the pivot rows, and ``determinant`` reads the signed product of
-its pivots.  ``matvec`` and the matrix product use the same kernel.
-Everything is exact over Q and F_p.  Over the tolerance-based reals,
-pivots are chosen by max-magnitude partial pivoting among entries above
-the field tolerance, so rank and regularity verdicts are
-tolerance-sensitive there, and an operation that overflows raises
-NonFiniteValue.
+way out.  ``rref`` and ``inverse`` run one forward elimination on the raw
+rows, through the ``FieldSpec``'s kernel with no field check per
+operation, and finish it with a back pass over the pivot rows; over F_p
+and R ``determinant`` reads the signed product of its pivots, over Q the
+kernel's fraction-free elimination on ints.  ``matvec`` and the matrix
+product use the same kernel.  Everything is exact over Q and F_p.  Over
+the tolerance-based reals, pivots are chosen by max-magnitude partial
+pivoting among entries above the field tolerance, so rank and regularity
+verdicts are tolerance-sensitive there, and an operation that overflows
+raises NonFiniteValue.
 
 The rank of a two-column matrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
@@ -224,16 +224,20 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
-    """Determinant and pivot count, from one elimination."""
+    """Determinant and pivot count: the Q kernel's ``det_and_rank``, else ``_eliminate``."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    pivots, det = _eliminate([list(row) for row in m._rows], m.spec._kernel)
-    rank = len(pivots)
+    kern = m.spec._kernel
+    if kern.det_and_rank is not None:
+        det, rank = kern.det_and_rank(m._rows)
+    else:
+        pivots, det = _eliminate([list(row) for row in m._rows], kern)
+        rank = len(pivots)
     return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
 
 
 def determinant(m: Matrix) -> FieldScalar:
-    """Determinant as the signed product of the elimination pivots."""
+    """Determinant, from the elimination of ``_determinant_and_rank``."""
     return _determinant_and_rank(m)[0]
 
 

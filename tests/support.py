@@ -143,6 +143,8 @@ def int_det(rows):
 def fraction_det(rows):
     """Cofactor-expansion determinant over Q (independent oracle)."""
     n = len(rows)
+    if n == 0:
+        return Fraction(1)
     if n == 1:
         return Fraction(rows[0][0])
     total = Fraction(0)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from evoalg import (
+    EvolutionAlgebra,
     FieldSpec,
     Matrix,
     NonFiniteValue,
@@ -18,7 +20,7 @@ from evoalg import (
     matvec,
     rref,
 )
-from evoalg.linalg import _pair_rank
+from evoalg.linalg import _determinant_and_rank, _pair_rank
 from support import (
     F2,
     F3,
@@ -159,6 +161,74 @@ def test_determinant_near_singular_reals_is_zero():
     assert rref(m).rank == 2
     det = determinant(m)
     assert det.spec == R9 and det.value == 0
+
+
+_Q_SQUARE_KINDS = ("fractional", "zero row", "zero column", "duplicate row", "rank n-1", "rank n-2")
+
+
+def _q_square(n, kind, rng):
+    """An n x n grid of fractional entries, a third of them zero so that
+    pivot searches swap rows; ``kind`` plants a zero row, a zero column, a
+    duplicate row, or rank at most n-1 or n-2 from random combinations of
+    the other rows."""
+    rows = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.67 else Fraction(0) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if kind == "zero row" and n:
+        rows[rng.randrange(n)] = [Fraction(0)] * n
+    elif kind == "zero column" and n:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = Fraction(0)
+    elif kind == "duplicate row" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i] = list(rows[j])
+    elif kind.startswith("rank") and n > int(kind[-1]):
+        free = n - int(kind[-1])
+        for i in range(free, n):
+            fs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(free)]
+            rows[i] = [sum(f * row[j] for f, row in zip(fs, rows)) for j in range(n)]
+        rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("kind", _Q_SQUARE_KINDS)
+def test_q_determinant_and_rank_match_references(kind):
+    # Over Q the determinant and the rank come from fraction-free
+    # elimination; cofactor expansion, the FieldScalar elimination and
+    # rref are independent of it.
+    rng = random.Random(83 + _Q_SQUARE_KINDS.index(kind))
+    for n in range(11):
+        for _ in range(4):
+            rows = _q_square(n, kind, rng)
+            m = Matrix.from_rows(Q, rows, ncols=n)
+            det, rank = _determinant_and_rank(m)
+            assert det == determinant(m) == scalar_elimination(m)[2]
+            if n <= 6:
+                assert det.value == fraction_det(rows)
+            assert rank == rref(m).rank
+            assert EvolutionAlgebra(m).is_regular() == (rank == n)
+            if kind.startswith("rank") and n > int(kind[-1]):
+                assert rank <= n - int(kind[-1])
+    assert determinant(Matrix(Q, [], ncols=0)).value == 1
+
+
+def test_q_determinant_cost_is_polynomial_in_bit_length():
+    # 40-digit numerators and denominators: the numerator and the
+    # denominator of the determinant have about 10,000 digits each.
+    rng = random.Random(89)
+
+    def digits():
+        return rng.randrange(10**39, 10**40)
+
+    rows = [[Fraction(rng.choice((-1, 1)) * digits(), digits()) for _ in range(16)] for _ in range(16)]
+    m = make_matrix(Q, rows)
+    start = time.process_time()
+    det = determinant(m)
+    elapsed = time.process_time() - start
+    assert det == scalar_elimination(m)[2]
+    assert elapsed < 1.0, f"{elapsed:.2f} s of CPU time"
 
 
 def test_inverse_identity():
