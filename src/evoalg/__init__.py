@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for finite-dimensional evolution algebras.
 
 Highlights: three field backends (exact rationals, prime fields,
-tolerance-based reals), canonical RREF subspaces, natural-basis
+floating-point reals), canonical RREF subspaces, natural-basis
 extraction for subalgebras of regular algebras, one-dimensional and
 codimension-one subalgebra search, and a brute-force oracle over prime
 fields that cross-checks everything.

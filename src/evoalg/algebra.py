@@ -53,8 +53,8 @@ class EvolutionAlgebra:
 
     def is_regular(self) -> bool:
         """Whether the elimination behind ``determinant`` found a pivot in
-        every column (over R: one above the tolerance), however small the
-        product of those pivots; over Q that is fraction-free elimination."""
+        every column, however small their product (over Q by fraction-free
+        elimination; over R scaling the structure matrix keeps the verdict)."""
         self.determinant()
         return self._rank == self.dim
 
@@ -135,12 +135,11 @@ class Element:
             raise ValueError("elements belong to different algebras")
 
     def is_zero(self) -> bool:
-        return all(map(self.algebra.spec._kernel.is_zero, self._coords))
+        return not any(self._coords)
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero coordinates, ascending."""
-        is_zero = self.algebra.spec._kernel.is_zero
-        return tuple(i + 1 for i, x in enumerate(self._coords) if not is_zero(x))
+        return tuple(i + 1 for i, x in enumerate(self._coords) if x != 0)
 
     def __add__(self, other):
         self._same_algebra(other)

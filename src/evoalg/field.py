@@ -1,26 +1,29 @@
 """Scalar arithmetic over the three supported coefficient fields.
 
 A :class:`FieldSpec` picks the backend: exact rationals (``"Q"``), a prime
-field (``"Fp"``), or floating-point reals compared against a fixed
-tolerance (``"R"``).  Scalars are immutable and carry their spec, so mixing
+field (``"Fp"``), or floating-point reals with a relative precision
+``tol`` (``"R"``).  Scalars are immutable and carry their spec, so mixing
 values from different fields fails loudly instead of silently coercing.
 
 The library has one representation: raw values (``Fraction`` over Q, int
 residues over F_p, floats over R), stored by ``Matrix``, ``Element`` and
 ``Subspace`` and computed on by the spec's kernel (``_Rationals``,
-``_PrimeField``, ``_Reals``), the only code for canonical form, zero test,
-equality and its hash (over R ``|a - b| <= tol``), inverse, reduction mod
-p, rendering and the overflow check over R.  A ``FieldScalar`` is a value
-at the API boundary: public constructors unwrap it once (``_value_of``,
-``_coerced_value``); accessors, diagnostics and rendering create it.
+``_PrimeField``, ``_Reals``), the only code for canonical form, equality
+and its hash, inverse, reduction mod p, rendering and the overflow check
+over R.  A raw value is zero when it equals 0, in every field; over R
+only a sum or difference that cancels is rounded to zero (``_Reals``).
+A ``FieldScalar`` is a value at the API boundary: public constructors
+unwrap it once (``_value_of``, ``_coerced_value``); accessors,
+diagnostics and rendering create it.
 
 The kernels also find the nonzero roots of polynomials of degree at most
 three, which is all the root finding the subalgebra search needs:
 rational-root candidates over Q, exhaustive evaluation over F_p, and
 closed-form real roots polished by Newton steps over R.  ``_Reals`` holds
 the root policy over R (acceptance and the near-tolerance flag) and the
-relative closure-identity test (``sums_equal``).  ``LowDegreePoly``
-stores raw coefficients too.  Over F_p a value must be an int.
+closure-identity test (``sums_equal``), both relative to the terms they
+sum.  ``LowDegreePoly`` stores raw coefficients too.  Over F_p a value
+must be an int.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import IdenticallyZeroPolynomial, NonFiniteValue, ParseError
@@ -93,9 +97,6 @@ class _Rationals:
             raise TypeError("exact rational scalars do not accept floats")
         return value if isinstance(value, Fraction) else Fraction(value)
 
-    def is_zero(self, x) -> bool:
-        return x == 0
-
     def eq(self, xs, ys) -> bool:
         """Entry-wise equality of two tuples of raw values."""
         return xs == ys
@@ -105,7 +106,11 @@ class _Rationals:
         return hash(xs)
 
     def render(self, x) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # over 4300 digits; Decimal has no such limit
+            num, den = Decimal(x.numerator), Decimal(x.denominator)
+            return f"{num}" if den == 1 else f"{num}/{den}"
 
     def inv(self, x):
         return self.one / x
@@ -124,6 +129,10 @@ class _Rationals:
         """``row - f * prow``."""
         return self.add_multiple(row, -f, prow)
 
+    def sub_mul(self, a, f, b):
+        """``a - f * b``: one entry of ``sub_multiple``."""
+        return self.canonical(a - f * b)
+
     def dot(self, xs, ys):
         """``x1*y1 + x2*y2 + ...``, summed left to right."""
         acc = [self.zero]
@@ -134,21 +143,15 @@ class _Rationals:
     def pick_pivot(self, rows, start: int, col: int) -> int:
         """Pivot row for ``col`` among ``rows[start:]``, or -1: the first
         nonzero entry."""
-        for i in range(start, len(rows)):
-            if rows[i][col] != 0:
-                return i
-        return -1
+        return next((i for i in range(start, len(rows)) if rows[i][col] != 0), -1)
 
     def in_span(self, v, rows, pivots) -> bool:
-        """Whether ``v`` reduces to zero against ``rows``, a reduced row
-        echelon basis with its leading ones at ``pivots``."""
-        return all(x == 0 for x in self._residual(v, rows, pivots))
-
-    def _residual(self, v, rows, pivots) -> list:
+        """Whether ``v`` reduces to exactly zero against ``rows``, a reduced
+        row echelon basis with its leading ones at ``pivots``."""
         for row, c in zip(rows, pivots):
             if v[c] != 0:
                 v = self.sub_multiple(v, v[c], row)
-        return v
+        return not any(v)
 
     def sums_equal(self, x, y, terms) -> bool:
         """Whether ``x`` and ``y``, two sums of the raw values ``terms``, are equal."""
@@ -232,27 +235,29 @@ class _PrimeField(_Rationals):
 
 
 class _Reals(_Rationals):
-    """Floats, zero within the absolute tolerance ``tol``.  An overflow
-    raises NonFiniteValue at once, with the first non-finite intermediate
-    that ``FieldScalar`` operations would meet, so no infinity can vanish
-    later into an overwritten entry or a zeroed row."""
+    """Floats with the relative precision ``tol``: a sum or difference is
+    exactly ``0.0`` where it cancels, ``|a ± f*b| < tol*|a| + tol*|f*b|``
+    (never of an infinity or a NaN); with ``tol < 1`` no input is rounded.
+    An overflow raises NonFiniteValue at once, with the first non-finite
+    intermediate that ``FieldScalar`` operations would meet, so no infinity
+    can vanish later into an overwritten entry or a zeroed row."""
 
     zero, one = 0.0, 1.0
     det_and_rank = None  # linalg's forward elimination
 
     def __init__(self, tol: float):
-        self.tol = tol
+        # For tol <= 1/2 a sum that cancels is below 8*tol times its first term;
+        # the rule is tested only there (for a larger tol, where that term is not 0).
+        self.tol, self._screen = tol, 8 * tol if tol <= 0.5 else math.inf
 
     def canonical(self, value):
         return _finite(float(value))
 
-    def is_zero(self, x) -> bool:
-        return abs(x) <= self.tol
-
     def eq(self, xs, ys) -> bool:
-        """Entry-wise ``|a - b| <= tol``."""
+        """Entry-wise: ``a - b`` cancels to zero by the rule of ``sub_mul``."""
         tol = self.tol
-        return xs == ys or (len(xs) == len(ys) and all(abs(a - b) <= tol for a, b in zip(xs, ys)))
+        close = (a == b or abs(a - b) < tol * abs(a) + tol * abs(b) for a, b in zip(xs, ys))
+        return xs == ys or (len(xs) == len(ys) and all(close))
 
     def hash(self, xs) -> int:
         # Equality within tol is not transitive: only the length is safe.
@@ -268,70 +273,71 @@ class _Reals(_Rationals):
         return _finite(x * y)
 
     def add_multiple(self, row, f, prow) -> list:
-        out = [a + f * b for a, b in zip(row, prow)]
+        s, t = self._screen, self.tol
+        out = [
+            0.0 if abs(x := a + f * b) < s * abs(a) and abs(x) < t * abs(a) + t * abs(f * b) else x
+            for a, b in zip(row, prow)
+        ]
         if not all(map(math.isfinite, out)):
             for a, b in zip(row, prow):
                 _finite(a + _finite(f * b))
         return out
 
     def sub_multiple(self, row, f, prow) -> list:
-        # Not add_multiple(row, -f, prow): the product's overflow keeps its sign.
-        out = [a - f * b for a, b in zip(row, prow)]
-        if not all(map(math.isfinite, out)):
+        try:
+            return self.add_multiple(row, -f, prow)  # a + (-f)*b is a - f*b, bit for bit
+        except NonFiniteValue:  # name the overflow with the sign of f*b
             for a, b in zip(row, prow):
                 _finite(a - _finite(f * b))
-        return out
+            raise
+
+    def sub_mul(self, a, f, b):
+        """``a - f * b`` as one entry of ``sub_multiple``, bit for bit."""
+        s, t = self._screen, self.tol
+        if not math.isfinite(x := a - f * b):
+            _finite(a - _finite(f * b))
+        return 0.0 if abs(x) < s * abs(a) and abs(x) < t * abs(a) + t * abs(f * b) else x
 
     def pick_pivot(self, rows, start: int, col: int) -> int:
-        """Pivot row for ``col`` among ``rows[start:]``, or -1: the entry
-        of largest magnitude above ``tol``."""
-        best, best_mag = -1, self.tol
+        """Pivot row for ``col`` among ``rows[start:]``, or -1: the nonzero
+        entry of largest magnitude, the first among equals."""
+        best, best_mag = -1, 0.0
         for i in range(start, len(rows)):
             mag = abs(rows[i][col])
             if mag > best_mag:
                 best, best_mag = i, mag
         return best
 
-    def in_span(self, v, rows, pivots) -> bool:
-        """Scale-aware: each residual coordinate must be within ``tol``
-        times the largest magnitude among the coordinates of ``v`` and
-        the terms cancelled against them (at least one), so rounding
-        error at large magnitudes is not mistaken for a nonzero residual.
-        The rows are reduced: the term cancelled at pivot c is v[c] * row."""
-        cancelled = [abs(v[c]) * max(map(abs, row)) for row, c in zip(rows, pivots) if v[c] != 0]
-        bound = self.tol * max([1.0, *map(abs, v), *cancelled])
-        return all(abs(x) <= bound for x in self._residual(v, rows, pivots))
-
     def sums_equal(self, x, y, terms) -> bool:
-        """Relative, as in ``in_span``: ``|x - y|`` within ``tol`` times the
-        largest magnitude among ``terms``, so the verdict does not change
-        when every term is scaled."""
+        """``|x - y|`` within ``tol`` times the largest magnitude among
+        ``terms``, so the verdict does not change when every term is
+        scaled."""
         return abs(x - y) <= self.tol * max(map(abs, terms))
 
     def nonzero_roots(self, cs) -> list:
         """Kept when nonzero, distinct beyond ``tol`` and accepted by
-        ``_residual_within``."""
+        ``_residual_within``.  These absolute tests act on roots, ratios
+        that scaling the structure matrix leaves alone."""
         c3, c2, c1, c0 = cs
-        tol = self.tol
-        if abs(c3) > tol:
+        if c3 != 0:
             try:
                 candidates = _cubic_real_roots(c3, c2, c1, c0)
             except OverflowError as exc:
                 msg = "real root search overflows: cubic coefficients too far apart"
                 raise NonFiniteValue(msg) from exc
-        elif abs(c2) > tol:
+        elif c2 != 0:
             candidates = _quadratic_real_roots(c2, c1, c0)
-        elif abs(c1) > tol:
+        elif c1 != 0:
             candidates = [-c0 / c1]
         else:
             return []
         out: list[float] = []
         for x in sorted(_newton_polish(c3, c2, c1, c0, x) for x in candidates):
-            if not math.isfinite(x) or abs(x) <= tol:
+            if not math.isfinite(x) or abs(x) <= self.tol:
                 continue
             if not self._residual_within(cs, x, 1.0):
                 continue
-            if out and abs(x - out[-1]) <= tol:
+            if out and abs(x - out[-1]) <= self.tol:
                 continue
             out.append(x)
         return out
@@ -356,11 +362,11 @@ class FieldSpec:
     """Identifies a field backend together with its parameters.
 
     ``kind`` is one of ``"Q"``, ``"Fp"``, ``"R"``.  ``p`` is the prime
-    modulus (``Fp`` only), ``tol`` the absolute comparison tolerance
-    (``R`` only; an int is converted to float).  This is the one check of
-    a field descriptor, the CLI's included: any other value, a bool among
-    them, raises ValueError.  The field's kernel is built once, outside
-    equality.
+    modulus (``Fp`` only), ``tol`` the relative precision below which a
+    sum cancels to zero (``R`` only; an int is converted to float).  This
+    is the one check of a field descriptor, the CLI's included: any other
+    value, a bool among them, raises ValueError.  The field's kernel is
+    built once, outside equality.
     """
 
     kind: str
@@ -426,7 +432,8 @@ class FieldScalar:
 
     Values are canonical: reduced ``Fraction`` with positive denominator
     over Q, residue in ``[0, p)`` over F_p, finite ``float`` over R.
-    Equality and hashing are the kernel's: over R, ``|a - b| <= tol``.
+    Equality and hashing are the kernel's: over R, ``a - b`` cancels to
+    zero.  ``is_zero`` is exact, and the operators do not round.
     """
 
     __slots__ = ("spec", "value")
@@ -442,10 +449,10 @@ class FieldScalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.spec._kernel.is_zero(self.value)
+        return self.value == 0
 
     def is_one(self) -> bool:
-        return self.spec._kernel.is_zero(self.value - 1)
+        return self.spec._kernel.eq((self.value,), (self.spec._kernel.one,))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -603,7 +610,7 @@ class LowDegreePoly:
         return FieldScalar(self.spec, acc)
 
     def is_zero(self) -> bool:
-        return all(map(self.spec._kernel.is_zero, self._cs))
+        return not any(self._cs)
 
     def nonzero_roots(self) -> list[FieldScalar]:
         return nonzero_roots(self)
@@ -632,7 +639,7 @@ def _render_terms(kern, terms) -> str:
     """
     parts: list[str] = []
     for x, unit in terms:
-        if kern.is_zero(x):
+        if x == 0:
             continue
         mag = kern.render(-x if x < 0 else x)
         term = mag if not unit else unit if mag == "1" else f"{mag}*{unit}"

@@ -9,10 +9,10 @@ operation, and finish it with a back pass over the pivot rows; over F_p
 and R ``determinant`` reads the signed product of its pivots, over Q the
 kernel's fraction-free elimination on ints.  ``matvec`` and the matrix
 product use the same kernel.  Everything is exact over Q and F_p.  Over
-the tolerance-based reals, pivots are chosen by max-magnitude partial
-pivoting among entries above the field tolerance, so rank and regularity
-verdicts are tolerance-sensitive there, and an operation that overflows
-raises NonFiniteValue.
+R the pivot is the nonzero entry of largest magnitude; an entry is zero
+only where a row operation cancelled it (``field._Reals``), so rank and
+regularity do not change when the matrix is scaled, and an operation
+that overflows raises NonFiniteValue.
 
 The rank of a two-column matrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
@@ -162,8 +162,7 @@ def _eliminate(rows: list[list], kern) -> tuple[list[int], object]:
         for k in range(r + 1, nr):
             f = rows[k][c]
             if f != 0:
-                rows[k] = kern.sub_multiple(rows[k], f, prow)
-                rows[k][c] = kern.zero
+                rows[k] = kern.sub_multiple(rows[k], f, prow)  # f - f * 1 leaves an exact zero at c
         pivots.append(c)
     return pivots, det
 
@@ -178,7 +177,6 @@ def _gauss_jordan(rows: list[list], kern) -> list[int]:
             f = rows[k][c]
             if f != 0:
                 rows[k] = kern.sub_multiple(rows[k], f, prow)
-                rows[k][c] = kern.zero
     return pivots
 
 
@@ -188,23 +186,20 @@ def _pair_rank(xs: Sequence, ys: Sequence, spec: FieldSpec) -> int:
     Column 1 pivots as in ``_eliminate``, on row ``(a0, b0)``.  The rank is
     2 at the first other row whose column-2 residual
     ``y - x * (b0 * a0^-1)`` is nonzero, so a typical rank-2 matrix is
-    decided after a row or two.  The residual is the column-2 entry of the
-    row operation ``_eliminate`` performs, so over R the rank is bit for
-    bit the one ``rref`` finds.  With no column-1 pivot the rank is 1 when
+    decided after a row or two.  The residual is the kernel's ``sub_mul``,
+    the column-2 entry of the row operation ``_eliminate`` performs, so
+    over R it cancels to zero exactly where ``rref``'s does and the rank is
+    the one ``rref`` finds.  With no column-1 pivot the rank is 1 when
     column 2 has a nonzero entry, else 0.
     """
     kern = spec._kernel
     rows = list(zip(xs, ys))
     i = kern.pick_pivot(rows, 0, 0)
     if i < 0:
-        return 0 if all(kern.is_zero(y) for y in ys) else 1
-    s = kern.scale((ys[i],), kern.inv(xs[i]))
+        return 1 if any(ys) else 0
+    s = kern.mul(ys[i], kern.inv(xs[i]))
     for k, (x, y) in enumerate(rows):
-        if k == i:
-            continue
-        if x != 0:
-            y = kern.sub_multiple((y,), x, s)[0]
-        if not kern.is_zero(y):
+        if k != i and (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
             return 2
     return 1
 

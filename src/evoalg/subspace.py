@@ -62,11 +62,9 @@ class Subspace:
         return tuple(Element._of(self.algebra, row) for row in self.basis._rows)
 
     def contains(self, u: Element) -> bool:
-        """Membership by reduction against the RREF basis.
-
-        Exact fields need an exactly zero residual; over R the residual is
-        measured against the magnitudes cancelled (``field._Reals.in_span``).
-        """
+        """Membership by reduction against the RREF basis: the residual
+        must be exactly zero (over R, the row operations cancel to zero
+        relative to the magnitudes they subtract)."""
         if u.algebra != self.algebra:
             raise ValueError("element from a different algebra")
         return self.algebra.spec._kernel.in_span(u._coords, self.basis._rows, self.pivot_cols)

@@ -188,16 +188,38 @@ def random_regular_rational(n, rng: random.Random):
             return rows
 
 
+def _cancelled(x, a, fb):
+    """``x``, the sum or the difference of the scalars ``a`` and ``fb``;
+    over R exactly zero when ``|x| < tol*|a| + tol*|fb|``: it cancelled."""
+    spec = x.spec
+    if spec.kind == APPROX_REALS and abs(x.value) < spec.tol * abs(a.value) + spec.tol * abs(fb.value):
+        return spec.zero()
+    return x
+
+
+def scalar_add_mul(a, f, b):
+    """``a + f*b`` on scalars, zero where it cancels."""
+    fb = f * b
+    return _cancelled(a + fb, a, fb)
+
+
+def scalar_sub_mul(a, f, b):
+    """``a - f*b`` on scalars, zero where it cancels."""
+    fb = f * b
+    return _cancelled(a - fb, a, fb)
+
+
 def scalar_elimination(m: Matrix):
     """Reference Gauss-Jordan elimination written with ``FieldScalar``
     operations, which check the field on every step.
 
     It follows the pivot rule and the operation order of ``rref``: the
-    first nonzero entry over exact fields, the largest magnitude above tol
-    over R; the pivot row scaled to a leading one, then the rows below and
-    the rows above cleared.  Returns the reduced rows (zero rows last), the
-    pivot columns, and the determinant (the pivot product with one sign
-    flip per swap, zero without a pivot in every column).
+    first nonzero entry over exact fields, the nonzero entry of largest
+    magnitude over R; the pivot row scaled to a leading one, then the rows
+    below and the rows above cleared, each entry by ``scalar_sub_mul``.
+    Returns the reduced rows (zero rows last), the pivot columns, and the
+    determinant (the pivot product with one sign flip per swap, zero
+    without a pivot in every column).
     """
     spec = m.spec
     zero, one = spec.zero(), spec.one()
@@ -211,7 +233,7 @@ def scalar_elimination(m: Matrix):
         best, best_mag = -1, 0.0
         for i in range(r, m.nrows):
             x = rows[i][c]
-            if x.is_zero():
+            if x.value == 0:
                 continue
             if spec.kind != APPROX_REALS:
                 best = i
@@ -231,14 +253,14 @@ def scalar_elimination(m: Matrix):
         for k in range(r + 1, m.nrows):
             f = rows[k][c]
             if f.value != 0:
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rows[k] = [scalar_sub_mul(a, f, b) for a, b in zip(rows[k], rows[r])]
                 rows[k][c] = zero
         pivots.append(c)
     for r, c in enumerate(pivots):
         for k in range(r):
             f = rows[k][c]
             if f.value != 0:
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rows[k] = [scalar_sub_mul(a, f, b) for a, b in zip(rows[k], rows[r])]
                 rows[k][c] = zero
     rank = len(pivots)
     rows[rank:] = [[zero] * m.ncols for _ in range(rank, m.nrows)]
@@ -259,31 +281,19 @@ def scalar_product(u, w):
             continue
         row = a.structure.row(i)
         for j in range(a.dim):
-            out[j] = out[j] + c * row[j]
+            out[j] = scalar_add_mul(out[j], c, row[j])
     return tuple(out)
 
 
 def scalar_contains(sub, coords):
     """Reference membership test written with ``FieldScalar`` operations:
-    reduction against the RREF basis, an exactly zero residual over exact
-    fields, over R one within tol times the largest magnitude among the
-    coordinates and the cancelled terms (at least one)."""
-    spec = sub.algebra.spec
-    approx = spec.kind == APPROX_REALS
+    reduction against the RREF basis to an exactly zero residual."""
     v = list(coords)
-    scale = 1.0
     for row, c in zip(sub.basis.rows(), sub.pivot_cols):
         f = v[c]
-        if f.value == 0:
-            continue
-        if approx:
-            scale = max(scale, abs(f.value) * max(abs(b.value) for b in row))
-        v = [a - f * b for a, b in zip(v, row)]
-        v[c] = spec.zero()
-    if not approx:
-        return all(x.is_zero() for x in v)
-    bound = spec.tol * max(scale, max((abs(x.value) for x in coords), default=0.0))
-    return all(abs(x.value) <= bound for x in v)
+        if f.value != 0:
+            v = [scalar_sub_mul(a, f, b) for a, b in zip(v, row)]
+    return all(x.value == 0 for x in v)
 
 
 def scalar_is_subalgebra(sub):

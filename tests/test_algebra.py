@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from evoalg import EvolutionAlgebra
+from evoalg import EvolutionAlgebra, rref
 from support import (
     F2,
     F3,
@@ -89,8 +89,19 @@ def test_real_regularity_counts_pivots_not_determinant_size():
     a = make_algebra(R9, [[1e-4, 0, 0], [0, 1e-4, 0], [0, 0, 1e-4]])
     assert a.is_regular()
     assert a.determinant().value == pytest.approx(1e-12, rel=1e-12)
-    # A pivot must still clear the absolute tolerance.
-    assert not make_algebra(R9, [[1e-10, 0], [0, 1]]).is_regular()
+    # A pivot below tol is still a pivot: no entry is zero unless it cancelled.
+    tiny = make_algebra(R9, [[1e-10, 0], [0, 1]])
+    assert tiny.is_regular() and tiny.determinant().value == 1e-10
+
+
+def test_real_rank_is_invariant_under_scaling():
+    # Column 3 is three times column 1: the matrix is singular only because
+    # a row operation cancels, and that holds at every scale.
+    rows = [[0.1, 0.7, 0.3], [0.2, 0.3, 0.6], [0.7, 0.1, 2.1]]
+    for s in (1.0, 1e-6, 1e-12, 1e6):
+        scaled = [[x * s for x in row] for row in rows]
+        assert rref(make_matrix(R9, scaled)).rank == 2, s
+        assert not make_algebra(R9, scaled).is_regular(), s
 
 
 def test_support():

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import evoalg
-from evoalg import ParseError
+from evoalg import ParseError, Subspace
 from evoalg.cli import AlgebraFile, main
 from support import (
     CUBIC_OVERFLOW_REAL_ROWS,
@@ -263,11 +265,48 @@ def test_real_cubic_with_zero_linear_term_is_answered(tmp_path, capsys, command,
     assert lines[1].startswith("  span{e1 - 0.0012599210498948732*e2}")
 
 
-def test_codim1_real_candidate_failing_closure_is_one_line_error(tmp_path, capsys):
-    path = write_algebra(tmp_path, "neartol.alg", REALS, 3, NEAR_TOL_REAL_ROWS)
+def test_codim1_real_candidate_failing_closure_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # No known real input fails the search's closure re-check; force it.
+    monkeypatch.setattr(Subspace, "is_subalgebra", lambda self: False)
+    path = write_algebra(tmp_path, "tiny.alg", REALS, 2, TINY_CUBIC_REAL_ROWS)
     code, out, err = run(capsys, "codim1", path)
     assert (code, out) == (1, "")
-    assert err.startswith("error: candidate for pair (1,2)") and err.count("\n") == 1
+    assert err == (
+        "error: candidate for pair (1,2) is not closed at tolerance 1e-09:"
+        " rounding makes the verdict tolerance-sensitive\n"
+    )
+
+
+def test_codim1_near_tol_real_algebra_is_answered(tmp_path, capsys):
+    path = write_algebra(tmp_path, "neartol.alg", REALS, 3, NEAR_TOL_REAL_ROWS)
+    code, out, err = run(capsys, "codim1", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "0 codimension-one subalgebras"
+
+
+def _int_of(text):
+    """An int from its decimal text at any length, 600 digits at a time."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(digits), 600):
+        chunk = digits[i : i + 600]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * n
+
+
+def test_regular_renders_a_determinant_of_any_length(tmp_path, capsys):
+    # 400-digit numerators and denominators: the determinant has more digits
+    # than the interpreter converts to text in one piece.
+    rng = random.Random(8)
+    lo, hi = 10**399, 10**400
+    rows = [[f"{rng.randrange(lo, hi)}/{rng.randrange(lo, hi)}" for _ in range(8)] for _ in range(8)]
+    path = write_algebra(tmp_path, "long.alg", {"kind": "Q"}, 8, rows)
+    code, out, err = run(capsys, "regular", path)
+    assert (code, err) == (0, "")
+    assert out.startswith("regular (det = ") and out.endswith(")\n")
+    num, den = out[len("regular (det = ") : -2].split("/")
+    det = AlgebraFile.from_path(path).algebra().determinant().value
+    assert len(num) > 4300 and Fraction(_int_of(num), _int_of(den)) == det
 
 
 # Large moduli are read in a child with a time limit, so a primality test

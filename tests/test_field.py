@@ -116,7 +116,9 @@ def test_inversion_of_zero():
     with pytest.raises(ZeroDivisionError, match="cannot invert zero in Q"):
         Q.zero().inv()
     with pytest.raises(ZeroDivisionError, match=r"cannot invert zero in R\(tol=1e-09\)"):
-        FieldScalar(R9, 1e-12).inv()  # zero within tolerance
+        FieldScalar(R9, 0.0).inv()
+    # Zero over R is exact: a value below tol is no zero.
+    assert FieldScalar(R9, 1e-12).inv().value == 1e12
 
 
 def test_mixed_specs_rejected():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from evoalg import (
     CASE_ROOT,
     CASE_ROW,
     FieldSpec,
-    NotASubalgebra,
+    Matrix,
     NotRegular,
     Subspace,
     TooLarge,
@@ -32,6 +33,7 @@ from evoalg import (
 from support import (
     F2,
     F3,
+    F5,
     FLAGGED_ROOT_REALS,
     FLAGGED_ROOT_ROWS,
     NEAR_TOL_REAL_ROWS,
@@ -47,6 +49,7 @@ from support import (
     SWAP_2D_ROWS,
     TINY_CUBIC_REAL_ROWS,
     all_regular_structures,
+    bases_close,
     elem,
     identity_rows,
     make_algebra,
@@ -527,16 +530,15 @@ def test_rank1_vector_is_normalized():
     assert [x.value for x in d.row] == [2, 4]
 
 
-@pytest.mark.parametrize(
-    "rows, pair", [(NEAR_TOL_REAL_ROWS, (1, 2)), (NEAR_TOL_REAL_ROWS_4, (3, 4))], ids=["n3", "n4"]
-)
-def test_real_candidate_failing_closure_is_a_domain_error(rows, pair):
-    a = make_algebra(R9, rows)
-    with pytest.raises(NotASubalgebra) as info:
-        enumerate_codim1(a)
-    message = str(info.value)
-    assert f"pair ({pair[0]},{pair[1]})" in message
-    assert "1e-09" in message and "tolerance-sensitive" in message
+@pytest.mark.parametrize("rows", [NEAR_TOL_REAL_ROWS, NEAR_TOL_REAL_ROWS_4], ids=["n3", "n4"])
+def test_near_tol_real_algebras_match_the_exact_search(rows):
+    # Entries near tol are no zeros: over R the search reads the pair ranks
+    # and finds the hyperplanes (none) of the exact search on the same
+    # binary values.
+    real = enumerate_codim1(make_algebra(R9, rows))
+    exact = enumerate_codim1(make_algebra(Q, [[Fraction(x) for x in row] for row in rows]))
+    assert [d.rank for d in real.diagnostics] == [d.rank for d in exact.diagnostics]
+    assert real.count == exact.count == 0
 
 
 @pytest.mark.parametrize("rows", [RELATIVE_RANK1_REAL_ROWS, RELATIVE_RANK1_REAL_ROWS_4], ids=["n3", "n4"])
@@ -567,9 +569,89 @@ def test_real_codim1_is_invariant_under_scaling():
             continue
         checked += 1
         want = [sub.basis for sub in enumerate_codim1(a).subspaces()]
-        for s in (1e-6, 1e-4, 1e-3, 1e-2, 1e2, 1e6):
+        for s in (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e2, 1e6):
             scaled = make_algebra(R9, [[x * s for x in row] for row in rows])
             assert [sub.basis for sub in enumerate_codim1(scaled).subspaces()] == want, (rows, s)
+
+
+def test_real_codim1_contains_the_rational_one_at_every_scale():
+    # Q in R: the hyperplanes of A over Q are those of sA, and the search
+    # over R must find each of them at every scale s, without an error.
+    rng = random.Random(2025)
+    found = 0
+    for _ in range(100):
+        while True:
+            ints = _random_sparse_integer_rows(rng)
+            rows = [[Fraction(x, rng.choice((1, 2))) for x in row] for row in ints]
+            exact = make_algebra(Q, rows)
+            if exact.is_regular():
+                break
+        want = enumerate_codim1(exact).subspaces()
+        found += len(want)
+        for s in (1e-11, 1e-9, 1.0, 1e7):
+            scaled = make_algebra(R9, [[float(x) * s for x in row] for row in rows])
+            got = enumerate_codim1(scaled).subspaces()
+            for sub in want:
+                assert any(bases_close(sub, g, 1e-7) for g in got), (rows, s, sub.render())
+    assert found >= 100
+
+
+def _relabelled_rows(rows, perm):
+    """Structure rows after renaming e_i to e_perm[i] (0-based)."""
+    out = [[None] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = x
+    return out
+
+
+def _relabelled(sub, algebra, perm):
+    """The subspace ``sub`` with coordinate i moved to perm[i], in ``algebra``."""
+    rows = []
+    for row in sub.basis.rows():
+        moved = [None] * len(row)
+        for i, x in enumerate(row):
+            moved[perm[i]] = x
+        rows.append(moved)
+    return Subspace(algebra, Matrix(algebra.spec, rows, ncols=algebra.dim))
+
+
+def _assert_relabelled(got, want, context):
+    # Subspace equality is the field's: exact over Q and F_p, over R up to
+    # the cancellation rule, so signed zeros compare equal.
+    assert len(got) == len(want) and all(w in got for w in want), context
+
+
+@pytest.mark.parametrize("spec", [Q, F5, R9], ids=["Q", "F5", "R"])
+def test_codim1_is_equivariant_under_relabelling(spec):
+    # Renaming the basis permutes the subalgebras with it.
+    rng = random.Random(31)
+    checked = found = 0
+    while checked < 40:
+        rows = [[spec.from_int(x) for x in row] for row in _random_sparse_integer_rows(rng)]
+        a = make_algebra(spec, rows)
+        if not a.is_regular():
+            continue
+        checked += 1
+        perm = rng.sample(range(a.dim), a.dim)
+        b = make_algebra(spec, _relabelled_rows(rows, perm))
+        want = [_relabelled(sub, b, perm) for sub in enumerate_codim1(a).subspaces()]
+        _assert_relabelled(enumerate_codim1(b).subspaces(), want, (rows, perm))
+        found += len(want)
+    assert found >= 40
+
+
+def test_fp_searches_are_equivariant_under_relabelling():
+    rng = random.Random(37)
+    for _ in range(15):
+        n = rng.randint(3, 4)
+        rows = random_regular_fp(5, n, rng)
+        a = make_algebra(F5, rows)
+        perm = rng.sample(range(n), n)
+        b = make_algebra(F5, _relabelled_rows(rows, perm))
+        for search in (solve_onedim, enumerate_subalgebras):
+            want = [_relabelled(sub, b, perm) for sub in search(a)]
+            _assert_relabelled(search(b), want, (rows, perm, search.__name__))
 
 
 def test_real_cubic_with_zero_linear_term_has_its_root():
