@@ -59,12 +59,13 @@ class EvolutionAlgebra:
         return self._rank == self.dim
 
     def _product(self, u, w) -> list:
-        """Product of raw coordinate vectors, through the field's kernel."""
+        """Product of raw coordinate vectors, through the field's kernel:
+        row i of the structure matrix is added ``u_i * w_i`` times, for
+        each i where both coordinates and their product are nonzero."""
         kern = self.spec._kernel
         out = [kern.zero] * self.dim
         for c_u, c_w, row in zip(u, w, self.structure._rows):
-            c = kern.mul(c_u, c_w)
-            if c != 0:
+            if c_u and c_w and (c := kern.mul(c_u, c_w)):
                 out = kern.add_multiple(out, c, row)
         return out
 

@@ -122,8 +122,10 @@ class _Rationals:
         return [self.mul(x, s) for x in row]
 
     def add_multiple(self, row, f, prow) -> list:
-        """``row + f * prow``."""
-        return [a + f * b for a, b in zip(row, prow)]
+        """``row + f * prow``.  An entry of ``row`` facing a zero of ``prow``
+        is passed through unmultiplied: ``a + f * 0`` is ``a``, and the
+        rows of a sparse basis are mostly zeros."""
+        return [a + f * b if b else a for a, b in zip(row, prow)]
 
     def sub_multiple(self, row, f, prow) -> list:
         """``row - f * prow``."""
@@ -228,7 +230,7 @@ class _PrimeField(_Rationals):
 
     def add_multiple(self, row, f, prow) -> list:
         p = self.p
-        return [(a + f * b) % p for a, b in zip(row, prow)]
+        return [(a + f * b) % p if b else a for a, b in zip(row, prow)]  # a is a reduced residue
 
     def nonzero_roots(self, cs) -> list:
         return [x for x in range(1, self.p) if _horner4(*cs, x) % self.p == 0]
@@ -237,7 +239,7 @@ class _PrimeField(_Rationals):
 class _Reals(_Rationals):
     """Floats with the relative precision ``tol``: a sum or difference is
     exactly ``0.0`` where it cancels, ``|a ± f*b| < tol*|a| + tol*|f*b|``
-    (never of an infinity or a NaN); with ``tol < 1`` no input is rounded.
+    (never of an infinity or a NaN); as ``tol < 1/2``, no input is rounded.
     An overflow raises NonFiniteValue at once, with the first non-finite
     intermediate that ``FieldScalar`` operations would meet, so no infinity
     can vanish later into an overwritten entry or a zeroed row."""
@@ -246,9 +248,9 @@ class _Reals(_Rationals):
     det_and_rank = None  # linalg's forward elimination
 
     def __init__(self, tol: float):
-        # For tol <= 1/2 a sum that cancels is below 8*tol times its first term;
-        # the rule is tested only there (for a larger tol, where that term is not 0).
-        self.tol, self._screen = tol, 8 * tol if tol <= 0.5 else math.inf
+        # With tol < 1/2 a sum that cancels is below 8*tol times its first
+        # term; the rule is tested only there.
+        self.tol, self._screen = tol, 8 * tol
 
     def canonical(self, value):
         return _finite(float(value))
@@ -273,6 +275,10 @@ class _Reals(_Rationals):
         return _finite(x * y)
 
     def add_multiple(self, row, f, prow) -> list:
+        """``row + f * prow``, zero where an entry cancels.  Every entry is
+        computed, also where ``prow`` holds a zero: ``-0.0 + f * 0.0`` is
+        ``0.0``, so passing ``a`` through would keep a ``-0.0`` that the
+        sum does not, and change what renders as ``-0``."""
         s, t = self._screen, self.tol
         out = [
             0.0 if abs(x := a + f * b) < s * abs(a) and abs(x) < t * abs(a) + t * abs(f * b) else x
@@ -363,10 +369,10 @@ class FieldSpec:
 
     ``kind`` is one of ``"Q"``, ``"Fp"``, ``"R"``.  ``p`` is the prime
     modulus (``Fp`` only), ``tol`` the relative precision below which a
-    sum cancels to zero (``R`` only; an int is converted to float).  This
-    is the one check of a field descriptor, the CLI's included: any other
-    value, a bool among them, raises ValueError.  The field's kernel is
-    built once, outside equality.
+    sum cancels to zero (``R`` only, below 1/2; an int is converted to
+    float).  This is the one check of a field descriptor, the CLI's
+    included: any other value, a bool among them, raises ValueError.  The
+    field's kernel is built once, outside equality.
     """
 
     kind: str
@@ -393,6 +399,8 @@ class FieldSpec:
                 object.__setattr__(self, "tol", tol)
             if not isinstance(tol, float) or not math.isfinite(tol) or tol <= 0:
                 raise ValueError(f"tolerance must be a positive finite float, got {self.tol!r}")
+            if tol >= 0.5:  # at 1/2, a - b cancels already for 0 < b <= a < 3b
+                raise ValueError(f"tolerance must be below 1/2, got {self.tol!r}")
             kernel = _Reals(tol)
         else:
             raise ValueError(f"unknown field kind {self.kind!r} (expected Q, Fp, or R)")

@@ -22,6 +22,7 @@ rule and row operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix
@@ -135,18 +136,23 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-def _eliminate(rows: list[list], kern) -> tuple[list[int], object]:
+def _eliminate(rows: list[list], kern) -> tuple[list[int], object, list]:
     """Forward elimination in place on raw values: scale each pivot row to
-    a leading one and clear the rows below it.
+    a leading one and clear the rows below it.  A pivot row whose pivot is
+    already one is left as it is: ``x * 1`` is ``x`` bit for bit in every
+    kernel, ``-0.0`` over R included.
 
-    Returns the pivot columns and the product of the pivots, negated once
-    per row swap (the determinant when every column has a pivot).
+    Returns the pivot columns, the row-swap sign (``kern.one`` negated once
+    per swap) and the pivots in the order they were taken.  Only
+    ``_determinant_and_rank`` multiplies them, so ``rref`` and ``inverse``
+    cannot overflow on a product they would discard.
     """
     nr = len(rows)
-    pivots: list[int] = []
-    det = kern.one
+    cols: list[int] = []
+    pivots: list = []
+    sign = kern.one
     for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
+        r = len(cols)
         if r >= nr:
             break
         i = kern.pick_pivot(rows, r, c)
@@ -154,30 +160,32 @@ def _eliminate(rows: list[list], kern) -> tuple[list[int], object]:
             continue
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
-            det = -det
-        piv = rows[r][c]
-        det = kern.mul(det, piv)
-        prow = rows[r] = kern.scale(rows[r], kern.inv(piv))
-        prow[c] = kern.one
+            sign = -sign
+        prow = rows[r]
+        piv = prow[c]
+        if piv != 1:
+            prow = rows[r] = kern.scale(prow, kern.inv(piv))
+            prow[c] = kern.one
         for k in range(r + 1, nr):
             f = rows[k][c]
             if f != 0:
                 rows[k] = kern.sub_multiple(rows[k], f, prow)  # f - f * 1 leaves an exact zero at c
-        pivots.append(c)
-    return pivots, det
+        cols.append(c)
+        pivots.append(piv)
+    return cols, sign, pivots
 
 
 def _gauss_jordan(rows: list[list], kern) -> list[int]:
     """``_eliminate``, then clear the entries above each pivot; returns
     the pivot columns."""
-    pivots, _ = _eliminate(rows, kern)
-    for r, c in enumerate(pivots):
+    cols, _, _ = _eliminate(rows, kern)
+    for r, c in enumerate(cols):
         prow = rows[r]
         for k in range(r):
             f = rows[k][c]
             if f != 0:
                 rows[k] = kern.sub_multiple(rows[k], f, prow)
-    return pivots
+    return cols
 
 
 def _pair_rank(xs: Sequence, ys: Sequence, spec: FieldSpec) -> int:
@@ -219,15 +227,17 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
-    """Determinant and pivot count: the Q kernel's ``det_and_rank``, else ``_eliminate``."""
+    """Determinant and pivot count: the Q kernel's ``det_and_rank``, else
+    the row-swap sign times the pivots of ``_eliminate``, multiplied in the
+    order they were taken."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of a {m.nrows}x{m.ncols} matrix")
     kern = m.spec._kernel
     if kern.det_and_rank is not None:
         det, rank = kern.det_and_rank(m._rows)
     else:
-        pivots, det = _eliminate([list(row) for row in m._rows], kern)
-        rank = len(pivots)
+        cols, sign, pivots = _eliminate([list(row) for row in m._rows], kern)
+        det, rank = reduce(kern.mul, pivots, sign), len(cols)
     return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
 
 

@@ -70,12 +70,21 @@ class Subspace:
         return self.algebra.spec._kernel.in_span(u._coords, self.basis._rows, self.pivot_cols)
 
     def is_subalgebra(self) -> bool:
-        """Closure under the product; basis pairs suffice by bilinearity."""
+        """Closure under the product; basis pairs suffice by bilinearity.
+
+        A pair of distinct basis rows with disjoint supports is skipped.
+        Its product is the zero vector, which every span contains: that
+        follows from the definition, e_a * e_b = 0 for a != b, not from
+        the paper's theorem, so the check stays independent of it.  Each
+        row is multiplied by itself, and every pair whose supports meet is
+        formed and reduced.
+        """
         in_span, product = self.algebra.spec._kernel.in_span, self.algebra._product
-        rows = self.basis._rows
-        for i, u in enumerate(rows):
-            for w in rows[i:]:
-                if not in_span(product(u, w), rows, self.pivot_cols):
+        rows, pivots = self.basis._rows, self.pivot_cols
+        supports = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
+        for i, (u, su) in enumerate(zip(rows, supports)):
+            for w, sw in zip(rows[i:], supports[i:]):
+                if su & sw and not in_span(product(u, w), rows, pivots):
                     return False
         return True
 

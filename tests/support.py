@@ -218,14 +218,16 @@ def scalar_elimination(m: Matrix):
     magnitude over R; the pivot row scaled to a leading one, then the rows
     below and the rows above cleared, each entry by ``scalar_sub_mul``.
     Returns the reduced rows (zero rows last), the pivot columns, and the
-    determinant (the pivot product with one sign flip per swap, zero
-    without a pivot in every column).
+    determinant: once the rows are reduced, the row-swap sign times the
+    pivots in the order they were taken, zero without a pivot in every
+    column.  So an overflow of that product alone does not stop the
+    reduction.
     """
     spec = m.spec
     zero, one = spec.zero(), spec.one()
     rows = [list(r) for r in m.rows()]
-    pivots = []
-    det = one
+    pivots, pivot_values = [], []
+    sign = one
     for c in range(m.ncols):
         r = len(pivots)
         if r >= m.nrows:
@@ -244,9 +246,9 @@ def scalar_elimination(m: Matrix):
             continue
         if best != r:
             rows[r], rows[best] = rows[best], rows[r]
-            det = -det
+            sign = -sign
         piv = rows[r][c]
-        det = det * piv
+        pivot_values.append(piv)
         inv = piv.inv()
         rows[r] = [x * inv for x in rows[r]]
         rows[r][c] = one
@@ -262,6 +264,9 @@ def scalar_elimination(m: Matrix):
             if f.value != 0:
                 rows[k] = [scalar_sub_mul(a, f, b) for a, b in zip(rows[k], rows[r])]
                 rows[k][c] = zero
+    det = sign
+    for piv in pivot_values:
+        det = det * piv
     rank = len(pivots)
     rows[rank:] = [[zero] * m.ncols for _ in range(rank, m.nrows)]
     if m.nrows != m.ncols or rank < m.nrows:

@@ -229,8 +229,9 @@ def test_boolean_dim_is_rejected(tmp_path, capsys):
         ({"kind": "Q", "p": 5, "tol": 3}, "rationals take no field parameters"),
         ({"kind": "Fp", "p": True}, "modulus must be prime, got True"),
         ({"kind": "R", "tol": 10**400}, "tolerance must be a positive finite float"),
+        ({"kind": "R", "tol": 0.9}, "tolerance must be below 1/2, got 0.9"),
     ],
-    ids=["R-tol-true", "Q-with-p-and-tol", "Fp-p-true", "R-tol-huge-int"],
+    ids=["R-tol-true", "Q-with-p-and-tol", "Fp-p-true", "R-tol-huge-int", "R-tol-0.9"],
 )
 def test_bad_field_descriptor_is_usage_error(tmp_path, capsys, field, reason):
     path = write_algebra(tmp_path, "field.alg", field, 1, [[1]])

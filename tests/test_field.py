@@ -38,6 +38,12 @@ def test_spec_validation():
         FieldSpec.approx_reals(True)
     assert FieldSpec.prime_field(7).p == 7
     assert FieldSpec.approx_reals(1e-6).tol == 1e-6
+    # From tol = 1/2 on, a difference within a factor of three of its terms
+    # cancels: at 0.9 the regular [[1, 2], [3, 4]] read singular.
+    for tol in (0.5, 0.9, 1, 1e300):
+        with pytest.raises(ValueError, match="tolerance must be below 1/2"):
+            FieldSpec.approx_reals(tol)
+    assert FieldSpec.approx_reals(0.49).tol == 0.49
 
 
 def test_parse_reduces_rationals():
@@ -353,3 +359,34 @@ def test_prime_modulus_beyond_certified_range_rejected():
     # The size is refused before any primality test runs.
     with pytest.raises(ValueError, match="too large"):
         FieldSpec.prime_field(10**25)
+
+
+@pytest.mark.parametrize("spec", [Q, F2, FieldSpec.prime_field(7)], ids=["Q", "F2", "F7"])
+def test_exact_row_operations_match_the_full_formula(spec):
+    # The exact kernels pass an entry facing a zero of ``prow`` through
+    # unmultiplied; the result is the canonical ``a + f*b`` (``a - f*b``)
+    # computed for every entry.
+    kern, rng = spec._kernel, random.Random(97)
+
+    def draw():
+        if rng.random() < 0.5:
+            return kern.zero
+        if spec == Q:
+            return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        return rng.randrange(spec.p)
+
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        row, prow, f = [draw() for _ in range(n)], [draw() for _ in range(n)], draw()
+        added = [kern.canonical(a + f * b) for a, b in zip(row, prow)]
+        subtracted = [kern.canonical(a - f * b) for a, b in zip(row, prow)]
+        assert kern.add_multiple(row, f, prow) == added
+        assert kern.sub_multiple(row, f, prow) == subtracted
+        assert all(type(x) is type(kern.zero) for x in added + subtracted)
+
+
+def test_real_row_operations_compute_entries_facing_zeros():
+    # -0.0 + f*0.0 is 0.0: passing -0.0 through would render as -0.
+    kern = R9._kernel
+    assert [repr(x) for x in kern.add_multiple([-0.0, -0.0], 2.0, [0.0, -0.0])] == ["0.0", "-0.0"]
+    assert [repr(x) for x in kern.sub_multiple([-0.0], 2.0, [-0.0])] == ["0.0"]

@@ -347,6 +347,43 @@ def test_elimination_matches_scalar_reference(spec):
             assert repr(determinant(m).value) == repr(det.value)
 
 
+@pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
+def test_sparse_elimination_matches_scalar_reference(spec):
+    # Mostly zero rows, many of them with a leading one, so that pivot rows
+    # are left unscaled and most row-operation entries face a zero; over R
+    # a zero is as often -0.0, whose sign must survive bit for bit.
+    rng = random.Random(101)
+    zeros = (0.0, -0.0) if spec == R9 else (0,)
+    for _ in range(200):
+        nrows = rng.randint(1, 6)
+        ncols = nrows if rng.random() < 0.5 else rng.randint(1, 6)
+        rows = []
+        for _ in range(nrows):
+            row = [rng.choice(zeros) if rng.random() < 0.7 else _draw(spec, rng) or 1 for _ in range(ncols)]
+            lead = next((j for j, x in enumerate(row) if x != 0), None)
+            if lead is not None and rng.random() < 0.6:
+                row[lead] = 1
+            rows.append(row)
+        m = Matrix.from_rows(spec, rows, ncols=ncols)
+        want_rows, pivots, det = scalar_elimination(m)
+        res = rref(m)
+        assert res.pivot_cols == pivots
+        assert [[repr(x.value) for x in r] for r in res.rref.rows()] == [
+            [repr(x.value) for x in r] for r in want_rows
+        ]
+        if nrows == ncols:
+            assert repr(determinant(m).value) == repr(det.value)
+
+
+def test_real_rref_and_inverse_do_not_form_the_determinant():
+    # The pivot product 1e600 overflows; only the determinant needs it.
+    m = make_matrix(R9, [[1e300, 0], [0, 1e300]])
+    assert rref(m).rref == Matrix.identity(R9, 2)
+    assert [[x.value for x in row] for row in inverse(m).rows()] == [[1e-300, 0.0], [0.0, 1e-300]]
+    with pytest.raises(NonFiniteValue):
+        determinant(m)
+
+
 def test_real_overflow_raises_instead_of_vanishing():
     # Clearing the first column adds 1e308 to 1e308; that infinity must not
     # be scaled away by the next pivot or zeroed with its row.

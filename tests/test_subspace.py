@@ -9,6 +9,7 @@ import pytest
 
 from evoalg import (
     EvoAlgError,
+    EvolutionAlgebra,
     FieldSpec,
     NotASubalgebra,
     NotRegular,
@@ -250,3 +251,52 @@ def test_product_and_closure_match_scalar_reference(spec):
                 assert _outcome(lambda: sub.contains(u)) == _outcome(
                     lambda: scalar_contains(sub, u.coords)
                 )
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
+def test_sparse_closure_matches_scalar_reference(spec):
+    # Spans of unit vectors and two-entry vectors with disjoint supports:
+    # the closure check skips every pair of distinct rows, the reference
+    # forms them all.  Sparse structure matrices make both verdicts common.
+    rng = random.Random(89)
+    verdicts = []
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        rows = [[_draw(spec, rng) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+        a = make_algebra(spec, rows)
+        idx = rng.sample(range(n), rng.randint(1, n))
+        vectors = []
+        while idx:
+            v = [0] * n
+            v[idx.pop()] = 1
+            if idx and rng.random() < 0.5:
+                v[idx.pop()] = _draw(spec, rng) or 1
+            vectors.append(v)
+        sub = _span(a, *vectors)
+        want = _outcome(lambda: scalar_is_subalgebra(sub))
+        assert _outcome(sub.is_subalgebra) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 15
+
+
+def test_closure_forms_only_products_of_rows_whose_supports_meet(monkeypatch):
+    calls = []
+    product = EvolutionAlgebra._product
+    monkeypatch.setattr(
+        EvolutionAlgebra, "_product", lambda self, u, w: calls.append(1) or product(self, u, w)
+    )
+    rows = identity_rows(7)
+    rows[0][1] = rows[2][4] = 3  # e1^2 = e1 + 3e2, e3^2 = e3 + 3e5
+    a = make_algebra(Q, rows)
+    # A codimension-one candidate: e1..e5 and e6 + e7, supports disjoint.
+    units = identity_rows(7)[:5]
+    sub = _span(a, *units, [0, 0, 0, 0, 0, 1, 1])
+    assert sub.dim == 6 and sub.is_subalgebra()
+    assert len(calls) == 6  # the squares only, not all 21 pairs
+    # In the zero algebra every span is closed, so every pair is examined:
+    # the rref rows e1 - e3 and e2 + e3 share e3, e1 + e2 and e3 share none.
+    zero = make_algebra(Q, [[0] * 3] * 3)
+    for vectors, formed in ((([1, 1, 0], [0, 1, 1]), 3), (([1, 1, 0], [0, 0, 1]), 2)):
+        calls.clear()
+        assert _span(zero, *vectors).is_subalgebra()
+        assert len(calls) == formed
