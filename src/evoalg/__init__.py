@@ -47,14 +47,8 @@ from .finder import (
     pair_submatrix,
     solve_onedim,
 )
-from .linalg import Matrix, RrefResult, determinant, inverse, matvec, rref
-from .oracle import (
-    enumerate_subalgebras,
-    enumerate_subspaces,
-    enumerate_subspaces_of,
-    gaussian_binomial,
-    subspace_count,
-)
+from .linalg import Matrix, RrefResult, determinant, inverse, rref
+from .oracle import enumerate_subalgebras, enumerate_subspaces, enumerate_subspaces_of
 from .subspace import Subspace
 
 __version__ = "0.1.0"
@@ -97,14 +91,11 @@ __all__ = [
     "enumerate_subalgebras",
     "enumerate_subspaces",
     "enumerate_subspaces_of",
-    "gaussian_binomial",
     "inverse",
-    "matvec",
     "nonzero_roots",
     "onedim_residual",
     "pair_submatrix",
     "rref",
     "scalar_parse",
     "solve_onedim",
-    "subspace_count",
 ]

@@ -17,17 +17,20 @@ unwrap it once (``_value_of``, ``_coerced_value``); accessors,
 diagnostics and rendering create it.
 
 The kernels also find the nonzero roots of polynomials of degree at most
-three, which is all the root finding the subalgebra search needs:
-rational-root candidates over Q, exhaustive evaluation over F_p, and
-closed-form real roots polished by Newton steps over R.  ``_Reals`` holds
-the root policy over R (acceptance and the near-tolerance flag) and the
-closure-identity test (``sums_equal``), both relative to the terms they
-sum.  ``LowDegreePoly`` stores raw coefficients too.  Over F_p a value
-must be an int.
+three, which is all the root finding the subalgebra search needs.  Over
+Q and R one exact isolator (``_root_intervals``: a Sturm sequence and
+bisection on ints) finds the real roots of the polynomial cleared of
+denominators, as a float is an exact binary rational: exact over Q,
+correctly rounded over R.  Over F_p every residue is evaluated.
+``_Reals`` holds the root policy over R (acceptance and the
+near-tolerance flag) and the closure-identity test (``sums_equal``),
+both relative to the terms they sum.  ``LowDegreePoly`` stores raw
+coefficients too.  Over F_p a value must be an int.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -187,21 +190,18 @@ class _Rationals:
         return (Fraction(sign * prev, scale) if rank == len(rows) else self.zero), rank
 
     def nonzero_roots(self, cs) -> list:
-        """Sorted nonzero roots of the cubic with raw coefficients ``cs``."""
-        ints, _ = self._cleared(cs)
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [c // g for c in ints]
-        nonzero = [c for c in ints if c != 0]  # an x^k factor has no nonzero root
-        if len(nonzero) <= 1:
-            return []
-        lead, const = abs(nonzero[0]), abs(nonzero[-1])
-        found = set()
-        for num in _divisors(const):
-            for div in _divisors(lead):
-                cand = Fraction(num, div)
-                found.update(x for x in (cand, -cand) if _horner4(*ints, x) == 0)
-        return sorted(found)
+        """Sorted nonzero roots of the cubic with raw coefficients ``cs``: a
+        root p/q of the primitive squarefree part has q dividing its leading
+        coefficient, so an interval below ``1/lead`` holds one candidate."""
+        chain = _sturm_chain(cs)
+        lead = abs(chain[0][0]) if chain else 1
+        roots = []
+        for lo, hi, k in _root_intervals(chain, lambda lo, hi, k: (hi - lo) * lead < 1 << k):
+            if lo == hi:
+                roots.append(Fraction(hi, 1 << k))
+            elif lo * lead < (m := hi * lead >> k) << k and _scaled_value(chain[0], m, lead) == 0:
+                roots.append(Fraction(m, lead))
+        return roots
 
     def is_flagged_root(self, cs, x) -> bool:
         """Whether the root ``x`` of the cubic ``cs`` is near the acceptance bound."""
@@ -321,25 +321,17 @@ class _Reals(_Rationals):
         return abs(x - y) <= self.tol * max(map(abs, terms))
 
     def nonzero_roots(self, cs) -> list:
-        """Kept when nonzero, distinct beyond ``tol`` and accepted by
+        """The real roots of the exact binary cubic ``cs``, each correctly
+        rounded, kept when nonzero, distinct beyond ``tol`` and accepted by
         ``_residual_within``.  These absolute tests act on roots, ratios
         that scaling the structure matrix leaves alone."""
-        c3, c2, c1, c0 = cs
-        if c3 != 0:
-            try:
-                candidates = _cubic_real_roots(c3, c2, c1, c0)
-            except OverflowError as exc:
-                msg = "real root search overflows: cubic coefficients too far apart"
-                raise NonFiniteValue(msg) from exc
-        elif c2 != 0:
-            candidates = _quadratic_real_roots(c2, c1, c0)
-        elif c1 != 0:
-            candidates = [-c0 / c1]
-        else:
-            return []
+        chain = _sturm_chain(map(Fraction, cs))
         out: list[float] = []
-        for x in sorted(_newton_polish(c3, c2, c1, c0, x) for x in candidates):
-            if not math.isfinite(x) or abs(x) <= self.tol:
+        for _, hi, k in _root_intervals(chain, _rounds_alike):
+            x = _dyadic_float(hi, k)
+            if math.isinf(x):
+                raise NonFiniteValue("real root search overflows: a root lies beyond the float range")
+            if abs(x) <= self.tol:
                 continue
             if not self._residual_within(cs, x, 1.0):
                 continue
@@ -661,11 +653,11 @@ def _render_terms(kern, terms) -> str:
 def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:
     """All roots ``x != 0`` of ``poly`` in its field, sorted ascending.
 
-    The field's kernel finds them: over Q the rational-root candidates of
-    the reduced integer polynomial are tested exactly; over F_p every
-    nonzero residue is evaluated; over R closed-form real roots are
-    Newton-polished and kept when the residual ``|poly(x)|`` stays within
-    ``tol`` times the largest of the terms ``|c_k x^k|`` it sums.
+    The field's kernel finds them: over F_p every nonzero residue is
+    evaluated; over Q and R a Sturm sequence isolates them, exact over Q
+    and correctly rounded over R, where a root is kept when above ``tol``,
+    more than ``tol`` above the last kept, and with ``|poly(x)|`` within
+    ``tol`` times the largest term ``|c_k x^k|`` it sums.
 
     Raises IdenticallyZeroPolynomial when every coefficient is zero, since
     then every scalar is a root and the caller must decide what that means.
@@ -675,74 +667,99 @@ def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:
     return [FieldScalar(poly.spec, r) for r in poly.spec._kernel.nonzero_roots(poly._cs)]
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def _horner4(c3, c2, c1, c0, x):
     return ((c3 * x + c2) * x + c1) * x + c0
 
 
-def _newton_polish(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
-    for _ in range(50):
-        fx = _horner4(c3, c2, c1, c0, x)
-        if fx == 0.0:
-            break
-        dx = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        if dx == 0.0 or not math.isfinite(dx):
-            break
-        step = fx / dx
-        x -= step
-        if not math.isfinite(x):
-            return math.inf
-        if abs(step) <= 1e-18 * max(1.0, abs(x)):
-            break
-    return x
+def _primitive(cs) -> list[int]:
+    """The rationals ``cs`` (leading zeros dropped) times the positive
+    rational that makes them coprime ints, which keeps every sign."""
+    ints, _ = _Rationals._cleared(list(itertools.dropwhile(lambda c: c == 0, cs)))
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
-def _quadratic_real_roots(a: float, b: float, c: float) -> list[float]:
-    disc = b * b - 4.0 * a * c
-    eps = 1e-12 * max(b * b, abs(4.0 * a * c))
-    if disc < -eps:
+def _poly_divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of ``a`` by ``b`` over Q, highest degree first."""
+    quo, rem = [], list(a)
+    while len(rem) >= len(b):
+        quo.append(f := Fraction(rem[0], b[0]))
+        rem = [x - f * y for x, y in zip(rem[1:], [*b[1:], *[0] * (len(rem) - len(b))])]
+    return quo, rem
+
+
+def _sturm_chain(cs) -> list[list[int]]:
+    """The Sturm sequence, of primitive members, of the squarefree part of
+    the rational polynomial ``cs`` (highest degree first) without its x^k
+    factor, so each root it counts is simple and nonzero; ``[]`` if none."""
+    f = _primitive(cs)
+    while f and f[-1] == 0:
+        f.pop()
+    while len(f) > 1:
+        chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
+        while len(chain[-1]) > 1 and (rem := _primitive([-x for x in _poly_divmod(*chain[-2:])[1]])):
+            chain.append(rem)
+        if len(chain[-1]) == 1:
+            return chain
+        f = _primitive(_poly_divmod(f, chain[-1])[0])  # f / gcd(f, f') drops repeated roots
+    return []
+
+
+def _scaled_value(f: list[int], m: int, w: int) -> int:
+    """``w^d * f(m/w)`` for ``f`` of degree d, on ints: for ``w > 0``, the sign of ``f(m/w)``."""
+    acc, wp = 0, 1
+    for c in f:
+        acc, wp = acc * m + c * wp, wp * w
+    return acc
+
+
+def _root_intervals(chain, settled) -> list[tuple[int, int, int]]:
+    """One interval ``(lo/2^k, hi/2^k]`` per distinct real root of the
+    squarefree ``f = chain[0]``, ascending.  By Sturm's theorem ``f`` has
+    ``V(a) - V(b)`` roots in ``(a, b]``, ``V(x)`` the sign changes of
+    ``chain`` at x.  Intervals are halved until each holds one root, then
+    bisected on the sign of ``f`` at ``hi`` (``lo`` may be another root)
+    until ``settled(lo, hi, k)``; ``lo == hi`` when a midpoint is the root.
+    The cost is polynomial in the bit length of the coefficients."""
+    if not chain:
         return []
-    if disc <= eps:
-        return [-b / (2.0 * a)]
-    sq = math.sqrt(disc)
-    q = -(b + math.copysign(sq, b)) / 2.0 if b != 0.0 else sq / 2.0
-    return [q / a, c / q]
+
+    def variations(m, k):
+        signs = [v > 0 for v in (_scaled_value(g, m, 1 << k) for g in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    f = chain[0]
+    # Fujiwara's bound: every root has |x| <= 2 * max |f[i]/f[0]|^(1/i) < 2^e.
+    e = 1 + max(-((f[0].bit_length() - c.bit_length() - 1) // i) for i, c in enumerate(f) if i and c)
+    k = max(0, -e)
+    lo, hi = -(1 << (e + k)), 1 << (e + k)
+    todo, out = [(lo, hi, k, variations(lo, k), variations(hi, k))], []
+    while todo:
+        lo, hi, k, vlo, vhi = todo.pop()
+        if vlo - vhi > 1:
+            mid, vmid = lo + hi, variations(lo + hi, k + 1)
+            todo += [(mid, 2 * hi, k + 1, vmid, vhi), (2 * lo, mid, k + 1, vlo, vmid)]
+        elif vlo - vhi == 1:
+            s = _scaled_value(f, hi, 1 << k)
+            while s and not settled(lo, hi, k):
+                mid, k = lo + hi, k + 1
+                if not (v := _scaled_value(f, mid, 1 << k)):
+                    lo = hi = mid
+                    break
+                lo, hi = (2 * lo, mid) if (v > 0) == (s > 0) else (mid, 2 * hi)
+            out.append((lo if s else hi, hi, k))
+    return out
 
 
-def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    # Depressed form t^3 + p t + q with x = t - b/(3a).
-    b1, c1, d1 = b / a, c / a, d / a
-    p = c1 - b1 * b1 / 3.0
-    q = 2.0 * b1 ** 3 / 27.0 - b1 * c1 / 3.0 + d1
-    shift = -b1 / 3.0
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    eps = 1e-12 * max(4.0 * abs(p) ** 3, 27.0 * q * q)
-    if abs(disc) <= eps:
-        if abs(p) <= 1e-12 and abs(q) <= 1e-12:
-            ts = [0.0]
-        else:
-            ts = [-3.0 * q / (2.0 * p), 3.0 * q / p]
-    elif disc > 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
-        theta = math.acos(arg)
-        ts = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    else:
-        rt = math.sqrt(-disc / 108.0)
-        ts = [_cbrt(-q / 2.0 + rt) + _cbrt(-q / 2.0 - rt)]
-    return [t + shift for t in ts]
+# The least magnitude that rounds to an infinity: (2 - 2^-53) * 2^1023.
+_FLOAT_OVERFLOW = (2**54 - 1) << 970
+
+
+def _rounds_alike(lo: int, hi: int, k: int) -> bool:
+    """Whether ``lo/2^k`` and ``hi/2^k`` round to one float (if normal, within 2^-52 of both)."""
+    return (hi - lo).bit_length() + 52 <= abs(hi).bit_length() and _dyadic_float(lo, k) == _dyadic_float(hi, k)
+
+
+def _dyadic_float(m: int, k: int) -> float:
+    """``m/2^k`` correctly rounded (int division is), infinite beyond the float range."""
+    return m / (1 << k) if abs(m) < _FLOAT_OVERFLOW << k else math.inf if m > 0 else -math.inf

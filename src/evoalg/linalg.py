@@ -7,8 +7,8 @@ way out.  ``rref`` and ``inverse`` run one forward elimination on the raw
 rows, through the ``FieldSpec``'s kernel with no field check per
 operation, and finish it with a back pass over the pivot rows; over F_p
 and R ``determinant`` reads the signed product of its pivots, over Q the
-kernel's fraction-free elimination on ints.  ``matvec`` and the matrix
-product use the same kernel.  Everything is exact over Q and F_p.  Over
+kernel's fraction-free elimination on ints.  The matrix product uses the
+same kernel.  Everything is exact over Q and F_p.  Over
 R the pivot is the nonzero entry of largest magnitude; an entry is zero
 only where a row operation cancelled it (``field._Reals``), so rank and
 regularity do not change when the matrix is scaled, and an operation
@@ -118,15 +118,6 @@ def _width(grid: tuple, ncols: int | None) -> int:
     if ncols is not None and ncols != width:
         raise ValueError(f"ncols={ncols} does not match row width {width}")
     return width
-
-
-def matvec(m: Matrix, v: Sequence[FieldScalar]) -> tuple[FieldScalar, ...]:
-    """``m`` times the column ``v`` of scalars (or ints) of its field."""
-    if len(v) != m.ncols:
-        raise ValueError(f"vector length {len(v)} does not match {m.nrows}x{m.ncols} matrix")
-    spec = m.spec
-    xs = [_value_of(spec, x, ints=True) for x in v]
-    return tuple(FieldScalar(spec, spec._kernel.dot(row, xs)) for row in m._rows)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Shared fixtures, generators, and independent oracles for the tests.
 
 The oracles here (cofactor determinants, the Gaussian-binomial
-recurrence, bisection root finding, kernel counting, elimination, the
-algebra product and the closure test on ``FieldScalar`` operations)
-deliberately avoid the library code paths they are used to check.
+recurrence, bisection root finding, the rational-root divisor scan, the
+cubic discriminant, kernel counting, elimination, the algebra product and
+the closure test on ``FieldScalar`` operations) deliberately avoid the
+library code paths they are used to check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -81,18 +83,27 @@ RELATIVE_RANK1_REAL_ROWS_4 = [
 ]
 
 # Regular real algebra (det 2e-9 at tol 1e-9) whose one pair has the cubic
-# x^3 + 2e-9: its depressed form has p = 0, and its one root is -cbrt(2e-9).
+# x^3 + 2e-9, with the one real root -cbrt(2e-9).
 TINY_CUBIC_REAL_ROWS = [[0, -2e-9], [1, 0]]
 
 # Regular real algebra whose one pair has the cubic
-# 1e-8*x^3 - 1e300*x^2 + x: its coefficient ratios overflow a float.
+# 1e-8*x^3 - 1e300*x^2 + x: its root 1e308 is finite, but the candidate
+# subspace it spans overflows when its closure is verified.
 CUBIC_OVERFLOW_REAL_ROWS = [[1, 0], [1e-8, 1e300]]
 
-# Regular real algebra whose pair (1,2) has the cubic (x - 34 - 1/3)(x - 1)(x + 2).
-# At tol 1e-15 the polished root 1 leaves |cubic(x)| at about 4.1e-16 times the
-# largest term it sums, inside the flag band (tol/10, tol]; the other two
-# roots leave an exactly zero residual.
-_R0 = 34.0 + 1.0 / 3.0
+# Regular real algebra whose one pair has the cubic
+# 1e-300*x^3 - 1e300*x^2 + x: its root near 1e600 lies beyond the float range.
+ROOT_BEYOND_FLOATS_REAL_ROWS = [[1, 0], [1e-300, 1e300]]
+
+# Real algebra text whose one pair has the cubic 1e-8*x^3 + x^2 - 3x + 2,
+# with roots near -1e8, 1 and 2: a closed form lost the one near 2.
+SMALL_LEAD_REAL_ROWS = [["-3", "-2"], ["1e-8", "-1"]]
+
+# Regular real algebra whose pair (1,2) has the cubic (x - 6 - 1/3)(x - 1)(x + 2),
+# rounded to floats.  At tol 1e-15 the correctly rounded root 1.0 leaves
+# |cubic(x)| at about 1.4e-16 times the largest term it sums, inside the flag
+# band (tol/10, tol]; the roots -2.0 and 6.333333333333333 stay below tol/10.
+_R0 = 6.0 + 1.0 / 3.0
 FLAGGED_ROOT_ROWS = [[-2.0 - _R0, -2.0 * _R0, 0.0], [1.0, _R0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
 FLAGGED_ROOT_REALS = FieldSpec.approx_reals(1e-15)
 
@@ -356,3 +367,135 @@ def bases_close(exact_sub, real_sub, tol):
             if abs(float(ex.value) - rx.value) > tol:
                 return False
     return True
+
+
+def trial_divisors(n):
+    """Every positive divisor of ``n > 0``, by trial division up to its square root."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.extend({d, n // d})
+        d += 1
+    return out
+
+
+def pool_divisors(n, pool):
+    """Every positive divisor of ``n > 0``, whose prime factors all lie in ``pool``."""
+    divisors = [1]
+    for prime in pool:
+        powers = [1]
+        while n % prime == 0:
+            n //= prime
+            powers.append(powers[-1] * prime)
+        divisors = [d * q for d in divisors for q in powers]
+    assert n == 1, "a prime factor outside the pool"
+    return divisors
+
+
+def rational_roots_by_divisors(ints, divisors=trial_divisors):
+    """Sorted nonzero rational roots of the integer polynomial ``ints``
+    (highest degree first), by the rational root theorem: every ``+-a/b``
+    with ``a`` dividing the last nonzero coefficient and ``b`` the first,
+    tested exactly as ``b^d * ints(a/b) == 0``."""
+    nonzero = [c for c in ints if c != 0]
+    if len(nonzero) <= 1:
+        return []
+    found = set()
+    for num in divisors(abs(nonzero[-1])):
+        for den in divisors(abs(nonzero[0])):
+            for a in (num, -num):
+                acc, wp = 0, 1
+                for c in ints:
+                    acc, wp = acc * a + c * wp, wp * den
+                if acc == 0:
+                    found.add(Fraction(a, den))
+    return sorted(found)
+
+
+def distinct_real_root_count(cs):
+    """The number of distinct nonzero real roots of the polynomial with the
+    exact values of the floats ``cs`` (highest degree first, degree at most
+    three), from the sign of its discriminant."""
+    a, b, c, d = [Fraction(x) for x in cs]
+    while d == 0 and (a, b, c) != (0, 0, 0):  # drop an x^k factor
+        a, b, c, d = 0, a, b, c
+    if a != 0:
+        disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+        return 3 if disc > 0 else 1 if disc < 0 else 1 if b * b == 3 * a * c else 2
+    if b != 0:
+        disc = c * c - 4 * b * d
+        return 2 if disc > 0 else 1 if disc == 0 else 0
+    return 1 if c != 0 else 0
+
+
+def exact_sign(cs):
+    """The sign of the polynomial with the exact values of the floats ``cs``
+    (highest degree first), as a function of a float ``x``.  It computes on
+    ints: with the coefficients cleared and ``x = m/w``, ``w^d * cs(m/w)``
+    has the sign of ``cs(x)``."""
+    ratios = [c.as_integer_ratio() for c in map(float, cs)]
+    den = math.lcm(*(b for _, b in ratios))
+    ints = [a * (den // b) for a, b in ratios]
+
+    def sign(x: float) -> int:
+        m, w = x.as_integer_ratio()
+        acc, wp = 0, 1
+        for c in ints:
+            acc, wp = acc * m + c * wp, wp * w
+        return (acc > 0) - (acc < 0)
+
+    return sign
+
+
+def changes_sign_around(cs, x: float) -> bool:
+    """Whether the exact polynomial ``cs`` is zero at ``x`` or has opposite
+    signs at the floats on either side of it: a root lies within one ulp."""
+    sign = exact_sign(cs)
+    return sign(x) == 0 or sign(math.nextafter(x, -math.inf)) * sign(math.nextafter(x, math.inf)) < 0
+
+
+def real_root_brackets(cs):
+    """The nonzero real roots of the exact polynomial ``cs`` (floats, degree
+    at most three), each as a pair of floats ``lo < hi`` with an exact sign
+    change between them, ``lo == hi`` at an exact zero: float bisection on
+    the pieces between the critical points, where the cubic is monotone."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    while cs and cs[0] == 0:
+        cs.pop(0)
+    if len(cs) < 2:
+        return []
+    deg = len(cs) - 1
+    bound = 2.0 * (1.0 + max(abs(c / cs[0]) for c in cs[1:]))
+    deriv = [c * (deg - i) for i, c in enumerate(cs[:-1])]
+    crit = []
+    if len(deriv) == 3:
+        qa, qb, qc = deriv
+        disc = qb * qb - 4.0 * qa * qc
+        if disc > 0:
+            q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
+            crit = [q / qa, qc / q]
+    elif len(deriv) == 2:
+        crit = [-deriv[1] / deriv[0]]
+    points = [-bound, *sorted(x for x in crit if -bound < x < bound), bound]
+    sign, out = exact_sign(cs), []
+    for lo, hi in zip(points, points[1:]):
+        slo, shi = sign(lo), sign(hi)
+        if slo == 0:
+            out.append((lo, lo))
+            continue
+        if shi == 0 or slo == shi:
+            continue
+        while True:
+            mid = lo + (hi - lo) / 2.0
+            if mid in (lo, hi):
+                break
+            smid = sign(mid)
+            if smid == 0:
+                lo = hi = mid
+                break
+            lo, hi = (mid, hi) if smid == slo else (lo, mid)
+        out.append((lo, hi))
+    return out

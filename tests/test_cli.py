@@ -21,8 +21,10 @@ from support import (
     NEAR_SINGULAR_REAL_ROWS,
     NEAR_TOL_REAL_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
+    ROOT_BEYOND_FLOATS_REAL_ROWS,
     SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
+    SMALL_LEAD_REAL_ROWS,
     TINY_CUBIC_REAL_ROWS,
     identity_rows,
 )
@@ -248,10 +250,36 @@ def test_unknown_field_keys_are_ignored(tmp_path, capsys):
 
 
 def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
-    path = write_algebra(tmp_path, "ovf.alg", REALS, 2, CUBIC_OVERFLOW_REAL_ROWS)
+    # The cubic's root near 1e600 has no float.
+    path = write_algebra(tmp_path, "ovf.alg", REALS, 2, ROOT_BEYOND_FLOATS_REAL_ROWS)
     code, out, err = run(capsys, "codim1", path)
     assert (code, out) == (1, "")
     assert err.startswith("error: real root search overflows") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["onedim", "codim1"])
+def test_real_root_whose_subspace_overflows_is_one_line_error(tmp_path, capsys, command):
+    # The cubic's root 1e308 is found; verifying the line it spans overflows.
+    path = write_algebra(tmp_path, "ovf.alg", REALS, 2, CUBIC_OVERFLOW_REAL_ROWS)
+    code, out, err = run(capsys, command, path)
+    assert (code, out, err) == (1, "", "error: real scalar must be finite, got inf\n")
+
+
+@pytest.mark.parametrize(
+    "command, head", [("onedim", "3 one-dimensional subalgebras"), ("codim1", "3 codimension-one subalgebras")]
+)
+def test_real_cubic_with_a_small_leading_coefficient_keeps_every_root(tmp_path, capsys, command, head):
+    # 1e-8*x^3 + x^2 - 3x + 2 has roots near -1e8, 1 and 2.
+    path = write_algebra(tmp_path, "small.alg", REALS, 2, SMALL_LEAD_REAL_ROWS)
+    code, out, err = run(capsys, command, path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == head
+    assert [line.split("  [")[0] for line in lines[1:]] == [
+        "  span{e1 - 100000002.99999993*e2}",
+        "  span{e1 + 1.0000000100000004*e2}",
+        "  span{e1 + 1.9999999200000032*e2}",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,20 @@ from evoalg import (
     scalar_parse,
 )
 from evoalg.field import _is_prime
-from support import F2, F3, F5, Q, R9, bisect_root
+from support import (
+    F2,
+    F3,
+    F5,
+    Q,
+    R9,
+    bisect_root,
+    changes_sign_around,
+    distinct_real_root_count,
+    pool_divisors,
+    rational_roots_by_divisors,
+    real_root_brackets,
+    trial_divisors,
+)
 
 
 def test_spec_validation():
@@ -252,6 +266,8 @@ def test_rational_roots_found_exactly():
     poly = _poly(Q, 6, 11, -19, 6)
     roots = sorted(r.value for r in nonzero_roots(poly))
     assert roots == [Fraction(-3), Fraction(1, 2), Fraction(2, 3)]
+    # (x + 4)^2 (5x + 9): a double root, and a dyadic one that bisection meets.
+    assert [r.value for r in nonzero_roots(_poly(Q, 5, 49, 152, 144))] == [-4, Fraction(-9, 5)]
 
 
 def test_rational_roots_with_fraction_coefficients():
@@ -310,6 +326,30 @@ def test_real_cubic_with_vanishing_depressed_linear_term():
     assert len(roots) == 1 and abs(roots[0] + 2e-9 ** (1 / 3)) <= 1e-15
 
 
+@pytest.mark.parametrize("lead", [1e-8, 1e-12])
+def test_real_cubic_keeps_small_roots_next_to_a_huge_one(lead):
+    # lead*x^3 + x^2 - 3x + 2: roots near -1/lead, 1 and 2.  A closed form
+    # evaluated acos near 1 here and lost one of the two small roots.
+    cs = (lead, 1.0, -3.0, 2.0)
+    roots = [r.value for r in nonzero_roots(_poly(R9, *cs))]
+    assert len(roots) == 3
+    assert [round(x * lead, 3) for x in roots[:1]] == [-1.0]
+    assert [round(x, 6) for x in roots[1:]] == [1.0, 2.0]
+    assert all(changes_sign_around(cs, x) for x in roots)
+
+
+def test_real_roots_are_correctly_rounded():
+    # x^3 - 2 and 3x^2 - 1: the floats nearest cbrt(2) and sqrt(1/3); the
+    # double root 1 of -3x^3 + 5x^2 - x - 1 = -(x - 1)^2 (3x + 1) is exact.
+    # A float is correctly rounded when the midpoints to its neighbours
+    # bracket the root.
+    (x,) = [r.value for r in nonzero_roots(_poly(R9, 1, 0, 0, -2))]
+    below, above = ((Fraction(x) + Fraction(math.nextafter(x, t))) / 2 for t in (0, 2))
+    assert below**3 < 2 < above**3
+    assert [r.value for r in nonzero_roots(_poly(R9, 0, 3, 0, -1))] == [-(1 / 3) ** 0.5, (1 / 3) ** 0.5]
+    assert [r.value for r in nonzero_roots(_poly(R9, -3, 5, -1, -1))] == [-1 / 3, 1.0]
+
+
 def test_prime_field_refuses_non_int_values():
     with pytest.raises(TypeError):
         FieldScalar(F5, 1.5)
@@ -333,10 +373,15 @@ def test_nonfinite_parse_rejected():
 
 
 def test_real_cubic_overflow_raises_nonfinite():
-    # x * (1e-8*x^2 - 1e300*x + 1): normalizing by the leading coefficient
-    # overflows the float range.
-    with pytest.raises(NonFiniteValue, match="overflows"):
-        nonzero_roots(_poly(R9, 1e-8, -1e300, 1, 0))
+    # x * (1e-300*x^2 - 1e300*x + 1) has a root near 1e600, beyond the floats.
+    with pytest.raises(NonFiniteValue, match="real root search overflows"):
+        nonzero_roots(_poly(R9, 1e-300, -1e300, 1, 0))
+
+
+def test_real_root_near_the_float_limit_is_found():
+    # x * (1e-8*x^2 - 1e300*x + 1): the root 1e308 is finite; the root near
+    # 1e-300 is within tol of zero.
+    assert [r.value for r in nonzero_roots(_poly(R9, 1e-8, -1e300, 1, 0))] == [1e308]
 
 
 def _trial_division_is_prime(n):
@@ -390,3 +435,104 @@ def test_real_row_operations_compute_entries_facing_zeros():
     kern = R9._kernel
     assert [repr(x) for x in kern.add_multiple([-0.0, -0.0], 2.0, [0.0, -0.0])] == ["0.0", "-0.0"]
     assert [repr(x) for x in kern.sub_multiple([-0.0], 2.0, [-0.0])] == ["0.0"]
+
+
+def _kernel_roots(spec, cs):
+    return spec._kernel.nonzero_roots(tuple(map(spec._kernel.canonical, cs)))
+
+
+# Primes for the 30-digit rational cubics: their end coefficients are
+# products of these, so the divisor scan can list their divisors.
+_SMALL_PRIMES = (2, 3, 5, 7)
+_BIG_PRIMES = (1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093, 1000000097)
+
+
+def _expand(*factors):
+    """Coefficients of a product of integer polynomials, highest degree first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _small_rational_cubics(rng, count):
+    for k in range(count):
+        if k % 2:
+            yield [rng.randint(-30, 30) for _ in range(4)]
+        else:  # a planted rational root b/a
+            linear = [rng.randint(1, 6), rng.randint(-12, 12)]
+            yield _expand(linear, [rng.randint(-9, 9) for _ in range(3)])
+
+
+def _big_rational_cubics(rng, count):
+    """Cubics with coefficients of about 30 digits: three planted rational
+    roots, one planted root and a quadratic factor with a 20-digit middle
+    coefficient, or random middle coefficients."""
+    def unit():
+        return rng.choice((1, -1)) * rng.choice(_SMALL_PRIMES)
+
+    def big():
+        return unit() * rng.choice(_BIG_PRIMES)
+
+    for k in range(count):
+        kind = k % 3
+        if kind == 0:
+            yield _expand(*([unit(), big()] for _ in range(3)))
+        elif kind == 1:
+            yield _expand([unit(), big()], [unit(), rng.randrange(10**19, 10**20), big() * big()])
+        else:
+            mid = [rng.randrange(-(10**30), 10**30) for _ in range(2)]
+            yield [unit(), *mid, big() * big() * big()]
+
+
+def test_rational_roots_match_the_divisor_scan_on_seeded_cubics():
+    rng = random.Random(2026)
+    pool = _SMALL_PRIMES + _BIG_PRIMES
+    cases = [(ints, None) for ints in _small_rational_cubics(rng, 1000)]
+    cases += [(ints, pool) for ints in _big_rational_cubics(rng, 1000)]
+    planted = 0
+    for ints, primes in cases:
+        if not any(ints):
+            continue
+        divisors = trial_divisors if primes is None else (lambda n, primes=primes: pool_divisors(n, primes))
+        want = rational_roots_by_divisors(ints, divisors)
+        assert _kernel_roots(Q, ints) == want, ints
+        planted += bool(want)
+    assert planted > 1000
+
+
+def _planted_real_cubics(rng, count):
+    """Cubics with three planted roots of magnitude 1e-6..1e6, expanded in floats."""
+    for _ in range(count):
+        r1, r2, r3 = (rng.choice((1, -1)) * 10 ** rng.uniform(-6, 6) for _ in range(3))
+        lead = rng.uniform(0.5, 2.0)
+        yield (lead, -lead * (r1 + r2 + r3), lead * (r1 * r2 + r1 * r3 + r2 * r3), -lead * r1 * r2 * r3)
+
+
+def _wide_real_cubics(rng, count):
+    """Cubics whose coefficients have magnitudes 1e-12..1e12."""
+    for _ in range(count):
+        yield tuple(rng.choice((1, -1)) * 10 ** rng.uniform(-12, 12) for _ in range(4))
+
+
+@pytest.mark.parametrize(
+    "family", [_planted_real_cubics, _wide_real_cubics], ids=["planted-roots", "wide-coefficients"]
+)
+def test_real_roots_match_the_discriminant_on_seeded_cubics(family):
+    # Every real root of the exact binary cubic that is nonzero and distinct
+    # beyond tol is reported, and each reported root is one within an ulp.
+    tol = R9.tol
+    for cs in family(random.Random(77), 1000):
+        got = _kernel_roots(R9, cs)
+        brackets = real_root_brackets(cs)
+        assert len(brackets) == distinct_real_root_count(cs), cs
+        kept = []
+        for lo, _ in brackets:
+            if abs(lo) > tol and not (kept and lo - kept[-1] <= tol):
+                kept.append(lo)
+        assert len(got) == len(kept), cs
+        assert all(changes_sign_around(cs, x) for x in got), cs

@@ -30,6 +30,7 @@ from evoalg import (
     pair_submatrix,
     solve_onedim,
 )
+from evoalg.finder import _codim1_subspace
 from support import (
     F2,
     F3,
@@ -46,6 +47,7 @@ from support import (
     RELATIVE_RANK1_REAL_ROWS_4,
     SCALED_1E6_ROWS,
     SHIFT_NILPOTENT_ROWS,
+    SMALL_LEAD_REAL_ROWS,
     SWAP_2D_ROWS,
     TINY_CUBIC_REAL_ROWS,
     all_regular_structures,
@@ -475,8 +477,8 @@ def test_diagnostics_record_raw_rows():
 
 
 def test_real_diagnostics_flag_near_tolerance_roots():
-    # Frozen fixture: of the three roots only the one near 1 has a residual
-    # in the flag band.
+    # Frozen fixture: of the three correctly rounded roots only 1.0 has a
+    # residual in the flag band.
     a = make_algebra(FLAGGED_ROOT_REALS, FLAGGED_ROOT_ROWS)
     report = enumerate_codim1(a)
     d12 = {(d.p, d.q): d for d in report.diagnostics}[(1, 2)]
@@ -660,3 +662,18 @@ def test_real_cubic_with_zero_linear_term_has_its_root():
     assert line.render() == "span{e1 - 0.0012599210498948732*e2}"
     (found,) = enumerate_codim1(a).found
     assert found.case == CASE_ROOT and abs(found.root.value + 2e-9 ** (1 / 3)) <= 1e-15
+
+
+def test_real_cubic_with_a_small_leading_coefficient_has_three_lines():
+    # The cubic 1e-8*x^3 + x^2 - 3x + 2 has three real roots; the line of
+    # the one near 2 is closed, re-verified as the search builds it.
+    a = make_algebra(R9, SMALL_LEAD_REAL_ROWS)
+    assert [line.render() for line in solve_onedim(a)] == [
+        "span{e1 - 100000002.99999993*e2}",
+        "span{e1 + 1.0000000100000004*e2}",
+        "span{e1 + 1.9999999200000032*e2}",
+    ]
+    roots = [f.root.value for f in enumerate_codim1(a).found]
+    assert roots[2] == 1.9999999200000032
+    sub = _codim1_subspace(a, 1, 2, (1.0, roots[2]), 0)
+    assert sub.is_subalgebra() and sub.render() == "span{e1 + 1.9999999200000032*e2}"

@@ -17,7 +17,6 @@ from evoalg import (
     SingularMatrix,
     determinant,
     inverse,
-    matvec,
     rref,
 )
 from evoalg.linalg import _determinant_and_rank, _pair_rank
@@ -286,12 +285,6 @@ def test_real_inverse_roundtrip():
             continue
         prod = m @ inverse(m)
         assert prod == Matrix.identity(R9, 3)
-
-
-def test_matvec():
-    m = make_matrix(Q, [[1, 2], [3, 4]])
-    v = (Q.from_int(1), Q.from_int(1))
-    assert [x.value for x in matvec(m, v)] == [3, 7]
 
 
 def test_empty_matrix_needs_ncols():

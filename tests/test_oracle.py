@@ -13,10 +13,9 @@ from evoalg import (
     enumerate_subalgebras,
     enumerate_subspaces,
     enumerate_subspaces_of,
-    gaussian_binomial,
     rref,
-    subspace_count,
 )
+from evoalg.oracle import gaussian_binomial, subspace_count
 from support import (
     F2,
     F3,

@@ -17,7 +17,6 @@ from evoalg import (
     UnsupportedFieldDimension,
     enumerate_codim1,
     enumerate_subalgebras,
-    matvec,
     solve_onedim,
 )
 from evoalg.cli import main
@@ -94,13 +93,6 @@ def test_subspace_rejects_matrix_over_another_field():
     a = make_algebra(Q, [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="spanning matrix over a different field"):
         Subspace(a, make_matrix(F5, [[1, 0]]))
-
-
-def test_matvec_coerces_ints_and_rejects_foreign_scalars():
-    m = make_matrix(Q, [[1, 2], [3, 4]])
-    assert matvec(m, (1, Q.one())) == (Q.from_int(3), Q.from_int(7))
-    with pytest.raises(ValueError, match="scalar over F_5 where Q is expected"):
-        matvec(m, (F5.one(), 1))
 
 
 _ARITHMETIC = (
