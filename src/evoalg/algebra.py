@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .field import FieldScalar, FieldSpec, _coerced_value, _render_terms, _value_of
+from .field import FieldScalar, FieldSpec, _coerced_value, _is_int, _render_terms, _value_of
 from .linalg import Matrix
 
 
@@ -22,11 +22,10 @@ class EvolutionAlgebra:
 
     Construction does not require regularity; operations that need a
     non-singular structure matrix check it themselves.  Instances are
-    immutable (the determinant, pivot-count and transpose-inverse caches
-    are lazy).
+    immutable (the elimination and transpose-inverse caches are lazy).
     """
 
-    __slots__ = ("spec", "dim", "structure", "_det", "_rank", "_tinv")
+    __slots__ = ("spec", "dim", "structure", "_elim", "_tinv")
 
     def __init__(self, structure: Matrix):
         if structure.nrows != structure.ncols:
@@ -34,7 +33,7 @@ class EvolutionAlgebra:
                 f"structure matrix must be square, got {structure.nrows}x{structure.ncols}"
             )
         self.spec, self.dim, self.structure = structure.spec, structure.nrows, structure
-        self._det = self._rank = self._tinv = None
+        self._elim = self._tinv = None
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows) -> "EvolutionAlgebra":
@@ -42,21 +41,35 @@ class EvolutionAlgebra:
         rows = list(rows)
         return cls(Matrix.from_rows(spec, rows, ncols=0 if not rows else None))
 
+    def _is_index(self, i) -> bool:
+        """Whether ``i`` is a basis index: an int, not a bool, in 1..dim."""
+        return _is_int(i) and 1 <= i <= self.dim
+
+    def _checked_index(self, i) -> int:
+        if not self._is_index(i):
+            raise IndexError(f"basis index {i} out of range 1..{self.dim}")
+        return i
+
     def structure_constant(self, i: int, j: int) -> FieldScalar:
         """Coefficient of e_j in e_i^2 (1-based indices)."""
-        return self.structure.entry(i - 1, j - 1)
+        return self.structure.entry(self._checked_index(i) - 1, self._checked_index(j) - 1)
+
+    def _elimination(self) -> tuple[int, list]:
+        """The one elimination of the structure matrix (``linalg._elimination``)."""
+        if self._elim is None:
+            self._elim = linalg._elimination(self.structure)
+        return self._elim
 
     def determinant(self) -> FieldScalar:
-        if self._det is None:
-            self._det, self._rank = linalg._determinant_and_rank(self.structure)
-        return self._det
+        """The product of the pivots; over R, NonFiniteValue where it
+        leaves the normal float range."""
+        return linalg._det_of(self.structure, self._elimination())
 
     def is_regular(self) -> bool:
-        """Whether the elimination behind ``determinant`` found a pivot in
-        every column, however small their product (over Q by fraction-free
-        elimination; over R scaling the structure matrix keeps the verdict)."""
-        self.determinant()
-        return self._rank == self.dim
+        """Whether the elimination found a pivot in every column.  It counts
+        them, never multiplies them: over R scaling the structure matrix
+        keeps the verdict, even where the determinant leaves the float range."""
+        return self._elimination()[0] == self.dim
 
     def _product(self, u, w) -> list:
         """Product of raw coordinate vectors, through the field's kernel:
@@ -81,9 +94,7 @@ class EvolutionAlgebra:
 
     def basis_element(self, i: int) -> "Element":
         """The i-th natural basis vector e_i (1-based)."""
-        if not 1 <= i <= self.dim:
-            raise IndexError(f"basis index {i} out of range 1..{self.dim}")
-        return Element._of(self, Matrix.identity(self.spec, self.dim)._rows[i - 1])
+        return Element._of(self, Matrix.identity(self.spec, self.dim)._rows[self._checked_index(i) - 1])
 
     def zero_element(self) -> "Element":
         return Element._of(self, (self.spec._kernel.zero,) * self.dim)

@@ -17,6 +17,11 @@ deterministic: subalgebras are canonically ordered and scalars render in
 a fixed canonical form.  ``--json`` switches any command to a stable
 machine-readable format.
 
+Each ``cmd_*`` takes the loaded file and the parsed arguments and returns
+its result: the JSON object under ``--json``, else its lines of text.
+``main`` loads the file once, before a ``--vector`` or ``--span`` is
+parsed, and prints the result once.
+
 Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr),
 2 usage or parse error.
 """
@@ -119,13 +124,9 @@ def _parse_vector(text: str, algebra: EvolutionAlgebra) -> Element:
     return algebra.element([scalar_parse(s, algebra.spec) for s in parts])
 
 
-def _parse_span(text: str, algebra: EvolutionAlgebra) -> list[Element]:
+def _parse_span(text: str, algebra: EvolutionAlgebra) -> Subspace:
     chunks = [c for c in (s.strip() for s in text.split(";")) if c]
-    return [_parse_vector(c, algebra) for c in chunks]
-
-
-def _render_vector(coords) -> str:
-    return "(" + ", ".join(x.render() for x in coords) + ")"
+    return Subspace.span(algebra, [_parse_vector(c, algebra) for c in chunks])
 
 
 def _subspace_json(sub: Subspace) -> list[list[str]]:
@@ -207,142 +208,102 @@ def _diag_text(a: EvolutionAlgebra, d: PairDiagnostics) -> str:
 # -- commands ----------------------------------------------------------
 
 
-def cmd_info(args) -> int:
-    algfile = AlgebraFile.from_path(args.path)
+def _count_line(count: int, what: str) -> str:
+    return f"{count} {what}" + ("" if count == 1 else "s")
+
+
+def _natural_basis(sub: Subspace, as_json: bool):
+    """The natural basis of the subalgebra ``sub``: its JSON fields, or
+    its text lines with each vector's support."""
+    basis = sub.natural_basis()
+    if as_json:
+        return {"natural_basis": _subspace_json(sub), "supports": [list(e.support()) for e in basis]}
+    lines = ["natural basis:"]
+    for e in basis:
+        support = "{" + ", ".join(map(str, e.support())) + "}"
+        lines.append(f"  {e.render()}  (support {support})")
+    return lines
+
+
+def cmd_info(algfile: AlgebraFile, args):
     if args.json:
-        print(json.dumps(algfile.to_json_obj(), indent=2))
-        return 0
-    print(f"field: {algfile.spec.describe()}")
-    print(f"dim: {algfile.dim}")
-    print("structure matrix (row i = coordinates of e_i^2):")
-    for line in algfile.matrix.render_rows():
-        print(f"  {line}")
-    return 0
+        return algfile.to_json_obj()
+    return [
+        f"field: {algfile.spec.describe()}",
+        f"dim: {algfile.dim}",
+        "structure matrix (row i = coordinates of e_i^2):",
+        *(f"  {line}" for line in algfile.matrix.render_rows()),
+    ]
 
 
-def cmd_regular(args) -> int:
-    algebra = AlgebraFile.from_path(args.path).algebra()
-    det = algebra.determinant()
+def cmd_regular(algfile: AlgebraFile, args):
+    algebra = algfile.algebra()
+    det = algebra.determinant().render()
     regular = algebra.is_regular()
     if args.json:
-        print(json.dumps({"regular": regular, "determinant": det.render()}, indent=2))
-        return 0
-    word = "regular" if regular else "not regular"
-    print(f"{word} (det = {det.render()})")
-    return 0
+        return {"regular": regular, "determinant": det}
+    return [f"{'regular' if regular else 'not regular'} (det = {det})"]
 
 
-def cmd_codim1(args) -> int:
-    algebra = AlgebraFile.from_path(args.path).algebra()
+def cmd_codim1(algfile: AlgebraFile, args):
+    algebra = algfile.algebra()
     report = enumerate_codim1(algebra)
     if args.json:
-        obj = {
+        return {
             "count": report.count,
             "subalgebras": [_finding_json(f) for f in report.found],
             "diagnostics": [_diag_json(d) for d in report.diagnostics],
         }
-        print(json.dumps(obj, indent=2))
-        return 0
-    plural = "" if report.count == 1 else "s"
-    print(f"{report.count} codimension-one subalgebra{plural}")
+    lines = [_count_line(report.count, "codimension-one subalgebra")]
     for f in report.found:
-        print(f"  {f.subspace.render()}  [pair ({f.p},{f.q}): {_finding_provenance(f)}]")
+        lines.append(f"  {f.subspace.render()}  [pair ({f.p},{f.q}): {_finding_provenance(f)}]")
     if args.verbose:
-        print("pair diagnostics:")
-        for d in report.diagnostics:
-            print(f"  {_diag_text(algebra, d)}")
-    return 0
+        lines.append("pair diagnostics:")
+        lines += (f"  {_diag_text(algebra, d)}" for d in report.diagnostics)
+    return lines
 
 
-def cmd_onedim(args) -> int:
-    algebra = AlgebraFile.from_path(args.path).algebra()
+def cmd_onedim(algfile: AlgebraFile, args):
+    algebra = algfile.algebra()
     if args.vector is not None:
-        x = _parse_vector(args.vector, algebra)
-        res = onedim_residual(algebra, x)
+        res = onedim_residual(algebra, _parse_vector(args.vector, algebra))
         if args.json:
-            obj = {"residual": [c.render() for c in res.coords], "is_zero": res.is_zero()}
-            print(json.dumps(obj, indent=2))
-            return 0
-        print(f"residual: {_render_vector(res.coords)}")
-        print(f"residual is zero: {'yes' if res.is_zero() else 'no'}")
-        return 0
+            return {"residual": [c.render() for c in res.coords], "is_zero": res.is_zero()}
+        coords = ", ".join(c.render() for c in res.coords)
+        return [f"residual: ({coords})", f"residual is zero: {'yes' if res.is_zero() else 'no'}"]
     lines = solve_onedim(algebra)
     if args.json:
-        obj = {"count": len(lines), "lines": [{"basis": _subspace_json(s)} for s in lines]}
-        print(json.dumps(obj, indent=2))
-        return 0
-    plural = "" if len(lines) == 1 else "s"
-    print(f"{len(lines)} one-dimensional subalgebra{plural}")
-    for s in lines:
-        print(f"  {s.render()}")
-    return 0
+        return {"count": len(lines), "lines": [{"basis": _subspace_json(s)} for s in lines]}
+    return [_count_line(len(lines), "one-dimensional subalgebra"), *(f"  {s.render()}" for s in lines)]
 
 
-def _natural_basis_lines(basis: list[Element]) -> list[str]:
-    out = ["natural basis:"]
-    for e in basis:
-        support = "{" + ", ".join(str(i) for i in e.support()) + "}"
-        out.append(f"  {e.render()}  (support {support})")
-    return out
-
-
-def cmd_verify(args) -> int:
-    algebra = AlgebraFile.from_path(args.path).algebra()
-    sub = Subspace.span(algebra, _parse_span(args.span, algebra))
+def cmd_verify(algfile: AlgebraFile, args):
+    algebra = algfile.algebra()
+    sub = _parse_span(args.span, algebra)
     closed = sub.is_subalgebra()
     regular = algebra.is_regular()
-    basis = sub.natural_basis() if closed and regular else None
+    basis = _natural_basis(sub, args.json) if closed and regular else None
+    note = None if basis else "not a subalgebra" if not closed else "ambient algebra not regular"
     if args.json:
-        obj = {
-            "subalgebra": closed,
-            "natural_basis": _subspace_json(sub) if basis is not None else None,
-            "supports": [list(e.support()) for e in basis] if basis is not None else None,
-            "note": None if closed and regular else (
-                "not a subalgebra" if not closed else "ambient algebra not regular"
-            ),
-        }
-        print(json.dumps(obj, indent=2))
-        return 0
-    print(f"subalgebra: {'yes' if closed else 'no'}")
-    if closed and basis is not None:
-        for line in _natural_basis_lines(basis):
-            print(line)
-    elif closed:
-        print("natural basis: unavailable (ambient algebra not regular)")
-    return 0
+        return {"subalgebra": closed, **(basis or {"natural_basis": None, "supports": None}), "note": note}
+    lines = [f"subalgebra: {'yes' if closed else 'no'}"]
+    if closed:
+        lines += basis or [f"natural basis: unavailable ({note})"]
+    return lines
 
 
-def cmd_natural_basis(args) -> int:
-    algebra = AlgebraFile.from_path(args.path).algebra()
-    sub = Subspace.span(algebra, _parse_span(args.span, algebra))
-    basis = sub.natural_basis()
+def cmd_natural_basis(algfile: AlgebraFile, args):
+    return _natural_basis(_parse_span(args.span, algfile.algebra()), args.json)
+
+
+def cmd_enumerate(algfile: AlgebraFile, args):
+    subs = enumerate_subalgebras(algfile.algebra(), max_count=args.max_size)
     if args.json:
-        obj = {
-            "natural_basis": _subspace_json(sub),
-            "supports": [list(e.support()) for e in basis],
-        }
-        print(json.dumps(obj, indent=2))
-        return 0
-    for line in _natural_basis_lines(basis):
-        print(line)
-    return 0
-
-
-def cmd_enumerate(args) -> int:
-    algebra = AlgebraFile.from_path(args.path).algebra()
-    subs = enumerate_subalgebras(algebra, max_count=args.max_size)
-    if args.json:
-        obj = {
+        return {
             "count": len(subs),
             "subalgebras": [{"dimension": s.dim, "basis": _subspace_json(s)} for s in subs],
         }
-        print(json.dumps(obj, indent=2))
-        return 0
-    plural = "" if len(subs) == 1 else "s"
-    print(f"{len(subs)} subalgebra{plural}")
-    for s in subs:
-        print(f"  {s.render()}  (dim {s.dim})")
-    return 0
+    return [_count_line(len(subs), "subalgebra"), *(f"  {s.render()}  (dim {s.dim})" for s in subs)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,15 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        result = args.func(AlgebraFile.from_path(args.path), args)
+        print(json.dumps(result, indent=2) if args.json else "\n".join(result))
         sys.stdout.flush()
-        return code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 0
     except EvoAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     except BrokenPipeError:
         # The reader of stdout has gone: stop quietly, and point stdout at
         # devnull so the interpreter's flush at exit cannot fail again.

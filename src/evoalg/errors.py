@@ -20,7 +20,7 @@ class ParseError(EvoAlgError):
 
 
 class NonFiniteValue(EvoAlgError):
-    """A real scalar became NaN or infinite."""
+    """A real scalar became NaN or infinite, or a determinant left the float range."""
 
 
 class IdenticallyZeroPolynomial(EvoAlgError):

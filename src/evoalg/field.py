@@ -121,6 +121,8 @@ class _Rationals:
     def mul(self, x, y):
         return x * y
 
+    product = staticmethod(math.prod)  # over F_p, FieldScalar reduces it once
+
     def scale(self, row, s) -> list:
         return [self.mul(x, s) for x in row]
 
@@ -266,13 +268,22 @@ class _Reals(_Rationals):
         return len(xs)
 
     def render(self, x) -> str:
-        return format(x, ".17g")
+        return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0: a zero renders unsigned
 
     def inv(self, x):
         return _finite(1.0 / x)
 
     def mul(self, x, y):
         return _finite(x * y)
+
+    def product(self, xs):
+        """``x1 * x2 * ...`` of nonzero floats, left to right; NonFiniteValue
+        where a partial product overflows or falls below the normal range."""
+        acc = xs[0]
+        for x in xs[1:]:
+            if abs(acc := self.mul(acc, x)) < sys.float_info.min:
+                raise NonFiniteValue(f"real product leaves the normal float range, got {acc!r}")
+        return acc
 
     def add_multiple(self, row, f, prow) -> list:
         """``row + f * prow``, zero where an entry cancels.  Every entry is
@@ -756,8 +767,10 @@ _FLOAT_OVERFLOW = (2**54 - 1) << 970
 
 
 def _rounds_alike(lo: int, hi: int, k: int) -> bool:
-    """Whether ``lo/2^k`` and ``hi/2^k`` round to one float (if normal, within 2^-52 of both)."""
-    return (hi - lo).bit_length() + 52 <= abs(hi).bit_length() and _dyadic_float(lo, k) == _dyadic_float(hi, k)
+    """Whether ``lo/2^k`` and ``hi/2^k`` round to one float: compared once
+    within 2^-52 of ``hi`` or narrower than 2^-1074, the subnormal spacing."""
+    w = (hi - lo).bit_length()
+    return (w + 52 <= abs(hi).bit_length() or w + 1074 <= k) and _dyadic_float(lo, k) == _dyadic_float(hi, k)
 
 
 def _dyadic_float(m: int, k: int) -> float:

@@ -38,7 +38,7 @@ import functools
 from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
-from .errors import NotASubalgebra, NotRegular, UnsupportedFieldDimension
+from .errors import NonFiniteValue, NotASubalgebra, NotRegular, UnsupportedFieldDimension
 from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
 from .linalg import Matrix, _pair_rank
 from .oracle import enumerate_subspaces_of
@@ -121,9 +121,8 @@ class SubalgebraReport:
 
 
 def _check_pair(a: EvolutionAlgebra, p: int, q: int) -> None:
-    n = a.dim
-    if not (1 <= p <= n and 1 <= q <= n) or p == q:
-        raise ValueError(f"need distinct basis indices in 1..{n}, got ({p}, {q})")
+    if not (a._is_index(p) and a._is_index(q)) or p == q:
+        raise ValueError(f"need distinct basis indices in 1..{a.dim}, got ({p}, {q})")
 
 
 def _check_pair_with_rows(a: EvolutionAlgebra, p: int, q: int) -> None:
@@ -251,7 +250,8 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, ski
     ``skip`` names the dropped index) and verify closure; the theory
     guarantees it, so over exact fields a failure is a bug.  Over R no
     known input fails, but rounded verdicts are not proved to agree, so a
-    failure is refused with NotASubalgebra.
+    failure is refused with NotASubalgebra, and an overflow while verifying
+    is a NonFiniteValue that names the pair and the candidate.
     """
     units = Matrix.identity(a.spec, a.dim)._rows
     rows = [units[i - 1] for i in range(1, a.dim + 1) if i not in (p, q)]
@@ -261,8 +261,15 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, ski
         v = [a.spec._kernel.zero] * a.dim
         v[p - 1], v[q - 1] = vec
         rows.append(tuple(v))
-    sub = Subspace(a, Matrix._trusted(a.spec, tuple(rows), a.dim))
-    if sub.dim != a.dim - 1 or not sub.is_subalgebra():
+    try:
+        sub = Subspace(a, Matrix._trusted(a.spec, tuple(rows), a.dim))
+        closed = sub.dim == a.dim - 1 and sub.is_subalgebra()
+    except NonFiniteValue as exc:  # rows[-1] is v, or the unit vector a hyperplane keeps
+        v_text = Element._of(a, rows[-1]).render()
+        raise NonFiniteValue(
+            f"candidate for pair ({p},{q}) with v = {v_text} overflows in verification: {exc}"
+        ) from exc
+    if not closed:
         if a.spec.kind == APPROX_REALS:
             raise NotASubalgebra(
                 f"candidate for pair ({p},{q}) is not closed at tolerance {a.spec.tol:g}:"

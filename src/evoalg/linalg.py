@@ -12,7 +12,8 @@ same kernel.  Everything is exact over Q and F_p.  Over
 R the pivot is the nonzero entry of largest magnitude; an entry is zero
 only where a row operation cancelled it (``field._Reals``), so rank and
 regularity do not change when the matrix is scaled, and an operation
-that overflows raises NonFiniteValue.
+that overflows raises NonFiniteValue, as does a determinant whose
+pivot product leaves the normal float range.
 
 The rank of a two-column matrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
@@ -22,7 +23,6 @@ rule and row operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix
@@ -135,8 +135,8 @@ def _eliminate(rows: list[list], kern) -> tuple[list[int], object, list]:
 
     Returns the pivot columns, the row-swap sign (``kern.one`` negated once
     per swap) and the pivots in the order they were taken.  Only
-    ``_determinant_and_rank`` multiplies them, so ``rref`` and ``inverse``
-    cannot overflow on a product they would discard.
+    ``determinant`` multiplies them, so ``rref``, ``inverse`` and the pivot
+    count behind regularity cannot fail on a product they do not need.
     """
     nr = len(rows)
     cols: list[int] = []
@@ -217,24 +217,30 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix._trusted(m.spec, out, m.ncols), rank, tuple(pivots))
 
 
-def _determinant_and_rank(m: Matrix) -> tuple[FieldScalar, int]:
-    """Determinant and pivot count: the Q kernel's ``det_and_rank``, else
-    the row-swap sign times the pivots of ``_eliminate``, multiplied in the
-    order they were taken."""
+def _elimination(m: Matrix) -> tuple[int, list]:
+    """Pivot count of the square ``m`` and the unmultiplied factors of its
+    determinant: the Q kernel's fraction-free determinant, else the
+    row-swap sign and the pivots of ``_eliminate`` in the order taken."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of a {m.nrows}x{m.ncols} matrix")
     kern = m.spec._kernel
     if kern.det_and_rank is not None:
         det, rank = kern.det_and_rank(m._rows)
-    else:
-        cols, sign, pivots = _eliminate([list(row) for row in m._rows], kern)
-        det, rank = reduce(kern.mul, pivots, sign), len(cols)
-    return (FieldScalar(m.spec, det) if rank == m.nrows else m.spec.zero()), rank
+        return rank, [det]
+    cols, sign, pivots = _eliminate([list(row) for row in m._rows], kern)
+    return len(cols), [sign, *pivots]
+
+
+def _det_of(m: Matrix, elimination: tuple[int, list]) -> FieldScalar:
+    """The determinant from ``_elimination(m)``: the kernel's product of
+    its factors, zero without a pivot in every column."""
+    rank, factors = elimination
+    return FieldScalar(m.spec, m.spec._kernel.product(factors)) if rank == m.nrows else m.spec.zero()
 
 
 def determinant(m: Matrix) -> FieldScalar:
-    """Determinant, from the elimination of ``_determinant_and_rank``."""
-    return _determinant_and_rank(m)[0]
+    """Determinant, from the elimination of ``_elimination``."""
+    return _det_of(m, _elimination(m))
 
 
 def inverse(m: Matrix) -> Matrix:

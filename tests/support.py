@@ -230,9 +230,9 @@ def scalar_elimination(m: Matrix):
     below and the rows above cleared, each entry by ``scalar_sub_mul``.
     Returns the reduced rows (zero rows last), the pivot columns, and the
     determinant: once the rows are reduced, the row-swap sign times the
-    pivots in the order they were taken, zero without a pivot in every
-    column.  So an overflow of that product alone does not stop the
-    reduction.
+    pivots in the order they were taken, or zero, unmultiplied, without a
+    pivot in every column.  So an overflow of that product alone does not
+    stop the reduction.
     """
     spec = m.spec
     zero, one = spec.zero(), spec.one()
@@ -275,13 +275,13 @@ def scalar_elimination(m: Matrix):
             if f.value != 0:
                 rows[k] = [scalar_sub_mul(a, f, b) for a, b in zip(rows[k], rows[r])]
                 rows[k][c] = zero
-    det = sign
-    for piv in pivot_values:
-        det = det * piv
     rank = len(pivots)
     rows[rank:] = [[zero] * m.ncols for _ in range(rank, m.nrows)]
-    if m.nrows != m.ncols or rank < m.nrows:
-        det = zero
+    det = zero
+    if m.nrows == m.ncols == rank:
+        det = sign
+        for piv in pivot_values:
+            det = det * piv
     return rows, tuple(pivots), det
 
 

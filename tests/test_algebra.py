@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from evoalg import EvolutionAlgebra, rref
+from evoalg import EvolutionAlgebra, NonFiniteValue, closure_cubic, enumerate_codim1, rref
 from support import (
     F2,
     F3,
@@ -92,6 +93,54 @@ def test_real_regularity_counts_pivots_not_determinant_size():
     # A pivot below tol is still a pivot: no entry is zero unless it cancelled.
     tiny = make_algebra(R9, [[1e-10, 0], [0, 1]])
     assert tiny.is_regular() and tiny.determinant().value == 1e-10
+
+
+def test_real_regularity_counts_pivots_without_multiplying_them():
+    # The pivot product 1e-400 underflows: regular, with no determinant.
+    a = make_algebra(R9, [[1e-200, 0], [0, 1e-200]])
+    assert a.is_regular()
+    with pytest.raises(NonFiniteValue, match="normal float range"):
+        a.determinant()
+    # Without a pivot in every column the determinant is 0: the pivots,
+    # whose product 1e600 overflows, are not multiplied.
+    singular = make_algebra(R9, [[1e300, 0, 0], [0, 1e300, 0], [0, 0, 0]])
+    assert not singular.is_regular() and repr(singular.determinant().value) == "0.0"
+
+
+def test_dense_real_search_does_not_depend_on_the_determinant_range():
+    # A 24x24 determinant near 5e27 overflows when the entries are scaled by
+    # 1e13 and leaves the normal range at 1e-14; the pivots are still
+    # counted, and the search gives the same 276 rank-2 pairs at every scale.
+    rng = random.Random(12)
+    rows = [[rng.randint(-999, 999) / 100 for _ in range(24)] for _ in range(24)]
+
+    def search(scale):
+        a = make_algebra(R9, [[x * scale for x in row] for row in rows])
+        report = enumerate_codim1(a)
+        return a, [(d.p, d.q, d.rank) for d in report.diagnostics], [s.render() for s in report.subspaces()]
+
+    a, diagnostics, found = search(1.0)
+    assert a.determinant().value == pytest.approx(5.033978907e27)
+    assert [rank for _, _, rank in diagnostics] == [2] * 276 and found == []
+    for scale in (1e13, 1e-14):
+        scaled, *answer = search(scale)
+        assert scaled.is_regular() and answer == [diagnostics, found], scale
+        with pytest.raises(NonFiniteValue):
+            scaled.determinant()
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4, True])
+def test_basis_indices_are_ints_in_range(bad):
+    a = make_algebra(Q, NO_CODIM1_OVER_Q_ROWS)
+    message = re.escape(f"basis index {bad} out of range 1..3")
+    with pytest.raises(IndexError, match=message):
+        a.basis_element(bad)
+    with pytest.raises(IndexError, match=message):
+        a.structure_constant(bad, 1)
+    with pytest.raises(IndexError, match=message):
+        a.structure_constant(1, bad)
+    with pytest.raises(ValueError, match=re.escape(f"need distinct basis indices in 1..3, got ({bad}, 2)")):
+        closure_cubic(a, bad, 2)
 
 
 def test_real_rank_is_invariant_under_scaling():

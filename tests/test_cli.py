@@ -259,10 +259,15 @@ def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["onedim", "codim1"])
 def test_real_root_whose_subspace_overflows_is_one_line_error(tmp_path, capsys, command):
-    # The cubic's root 1e308 is found; verifying the line it spans overflows.
+    # The cubic's root 1e308 is found; verifying the line it spans overflows,
+    # and the error names the pair and the candidate.
     path = write_algebra(tmp_path, "ovf.alg", REALS, 2, CUBIC_OVERFLOW_REAL_ROWS)
     code, out, err = run(capsys, command, path)
-    assert (code, out, err) == (1, "", "error: real scalar must be finite, got inf\n")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: candidate for pair (1,2) with v = e1 + 1e+308*e2 overflows in verification:"
+        " real scalar must be finite, got inf\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -321,6 +326,22 @@ def _int_of(text):
         chunk = digits[i : i + 600]
         n = n * 10 ** len(chunk) + int(chunk)
     return sign * n
+
+
+def test_regular_with_a_determinant_below_the_float_range_is_one_line_error(tmp_path, capsys):
+    path = write_algebra(tmp_path, "tiny.alg", REALS, 2, [["1e-200", "0"], ["0", "1e-200"]])
+    code, out, err = run(capsys, "regular", path)
+    assert (code, out) == (1, "")
+    assert err == "error: real product leaves the normal float range, got 0.0\n"
+
+
+def test_real_negative_zero_prints_as_zero(tmp_path, capsys):
+    # closure_cubic negates a[q,q] = 0 into -0.0.
+    path = write_algebra(tmp_path, "nz.alg", REALS, 2, [["0", "-2e-9"], ["1", "0"]])
+    code, out, err = run(capsys, "codim1", path, "--json")
+    assert (code, err) == (0, "")
+    assert '"-0"' not in out
+    assert json.loads(out)["diagnostics"][0]["cubic"] == ["1", "0", "0", "2.0000000000000001e-09"]
 
 
 def test_regular_renders_a_determinant_of_any_length(tmp_path, capsys):

@@ -19,7 +19,7 @@ from evoalg import (
     nonzero_roots,
     scalar_parse,
 )
-from evoalg.field import _is_prime
+from evoalg.field import _dyadic_float, _is_prime, _root_intervals, _rounds_alike, _sturm_chain
 from support import (
     F2,
     F3,
@@ -382,6 +382,22 @@ def test_real_root_near_the_float_limit_is_found():
     # x * (1e-8*x^2 - 1e300*x + 1): the root 1e308 is finite; the root near
     # 1e-300 is within tol of zero.
     assert [r.value for r in nonzero_roots(_poly(R9, 1e-8, -1e300, 1, 0))] == [1e308]
+
+
+def test_real_root_below_the_subnormals_stops_refining():
+    # x^3 + 1e300*x + 1e-300 has one real root, near -1e-600.  Both ends of
+    # its interval round to zero once it is narrower than 2^-1074, the
+    # subnormal spacing, and the root is then dropped as zero.
+    cs = (1.0, 0.0, 1e300, 1e-300)
+    assert R9._kernel.nonzero_roots(cs) == []
+    ((lo, hi, k),) = _root_intervals(_sturm_chain(map(Fraction, cs)), _rounds_alike)
+    assert k == 1576
+    assert _dyadic_float(lo, k) == _dyadic_float(hi, k) == 0.0
+
+
+def test_real_zero_renders_unsigned():
+    assert [FieldScalar(R9, x).render() for x in (-0.0, 0.0, -2e-9)] == ["0", "0", "-2.0000000000000001e-09"]
+    assert repr(FieldScalar(R9, -0.0).value) == "-0.0"
 
 
 def _trial_division_is_prime(n):
