@@ -102,7 +102,7 @@ class EvolutionAlgebra:
     def __eq__(self, other):
         if not isinstance(other, EvolutionAlgebra):
             return NotImplemented
-        return self.structure == other.structure
+        return self is other or self.structure == other.structure
 
     def __hash__(self):
         return hash(self.structure)

@@ -154,11 +154,22 @@ class _Rationals:
 
     def in_span(self, v, rows, pivots) -> bool:
         """Whether ``v`` reduces to exactly zero against ``rows``, a reduced
-        row echelon basis with its leading ones at ``pivots``."""
+        row echelon basis with its leading ones at ``pivots``.
+
+        Only the free (non-pivot) columns are reduced.  A pivot column ends
+        at an exact zero: its own row leaves ``f - f * 1``, and every other
+        row holds an exact zero there, so the factor of each row is the
+        entry of ``v`` itself.  The free entries go through ``sub_mul`` row
+        by row, in the order of the full reduction, so an overflow over R
+        raises at the same entry with the same message.  An entry facing a
+        zero is passed through: ``a - f * 0`` is ``a`` but for the sign of
+        a zero, which the verdict ignores."""
+        free = [j for j in range(len(v)) if j not in pivots]
+        w, sub_mul = [v[j] for j in free], self.sub_mul
         for row, c in zip(rows, pivots):
-            if v[c] != 0:
-                v = self.sub_multiple(v, v[c], row)
-        return not any(v)
+            if (f := v[c]) != 0:
+                w = [sub_mul(a, f, b) if (b := row[j]) else a for a, j in zip(w, free)]
+        return not any(w)
 
     def sums_equal(self, x, y, terms) -> bool:
         """Whether ``x`` and ``y``, two sums of the raw values ``terms``, are equal."""

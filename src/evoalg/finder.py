@@ -30,6 +30,11 @@ identity, the rank-0 cubic (built once per pair) and the candidates run
 on raw values; ``FieldScalar`` appears only in findings and diagnostics.
 The field's kernel decides the closure identity (over R relative to its
 products) and finds and flags the cubic's roots.
+
+A candidate's reduced row echelon basis is known in closed form, so no
+candidate is eliminated, and one search verifies each distinct candidate
+once: a coordinate hyperplane reached from several pairs is checked at
+the first of them, in scan order.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
     if a.spec.kind == PRIME_FIELD:
         return [line for line in enumerate_subspaces_of(a, 1) if line.is_subalgebra()]
     if a.dim == 2:
-        return sorted((found.subspace for found in _rank0_search(a, 1, 2)[0]), key=Subspace.sort_key)
+        return sorted((found.subspace for found in _rank0_search(a, 1, 2, {})[0]), key=Subspace.sort_key)
     raise UnsupportedFieldDimension(
         f"one-dimensional search over {a.spec.describe()} supports dimension 2 only"
     )
@@ -244,30 +249,40 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     return all(_closure_verdict(a, p, q, alpha, beta)[2] for alpha, beta in _pair_rows(a, p, q))
 
 
-def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, skip: int) -> Subspace:
-    """Assemble span({e_i : i != p,q} + {v}) from the raw coefficients
-    ``vec`` of v (or a coordinate hyperplane when ``vec`` is None and
-    ``skip`` names the dropped index) and verify closure; the theory
-    guarantees it, so over exact fields a failure is a bug.  Over R no
-    known input fails, but rounded verdicts are not proved to agree, so a
-    failure is refused with NotASubalgebra, and an overflow while verifying
-    is a NonFiniteValue that names the pair and the candidate.
+def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) -> Subspace:
+    """span({e_i : i != p,q} + {v}), v = x*e_p + y*e_q (raw), in canonical
+    form: the unit rows of every column but one free column, with v scaled
+    as ``linalg._eliminate`` scales it, to e_p + t*e_q; where x or t is
+    zero, the coordinate hyperplane without e_p or e_q.  ``verified`` maps
+    each hyperplane already verified in this search, ``(free,)`` or
+    ``(p, q, t)``, to its subspace; any other is verified on the spot.  The
+    theory guarantees closure, so over exact fields a failure is a bug.
+    Over R no known input fails, but rounded verdicts are not proved to
+    agree, so a failure is refused with NotASubalgebra, and an overflow
+    while scaling v or verifying is a NonFiniteValue that names the pair
+    and the candidate.
     """
-    units = Matrix.identity(a.spec, a.dim)._rows
-    rows = [units[i - 1] for i in range(1, a.dim + 1) if i not in (p, q)]
-    if vec is None:
-        rows.extend(units[i - 1] for i in (p, q) if i != skip)
-    else:
-        v = [a.spec._kernel.zero] * a.dim
-        v[p - 1], v[q - 1] = vec
-        rows.append(tuple(v))
+    kern, n = a.spec._kernel, a.dim
     try:
-        sub = Subspace(a, Matrix._trusted(a.spec, tuple(rows), a.dim))
-        closed = sub.dim == a.dim - 1 and sub.is_subalgebra()
-    except NonFiniteValue as exc:  # rows[-1] is v, or the unit vector a hyperplane keeps
-        v_text = Element._of(a, rows[-1]).render()
+        t = kern.zero if x == 0 else y if x == 1 else kern.mul(y, kern.inv(x))
+        free = p - 1 if x == 0 else q - 1
+        key = (p, q, t) if t != 0 else (free,)
+        if key in verified:
+            return verified[key]
+        pivots = tuple(c for c in range(n) if c != free)
+        lead = (p - 1, free) if t != 0 else None  # where the row of v holds t
+        rows = tuple(
+            tuple(kern.one if j == c else t if (c, j) == lead else kern.zero for j in range(n))
+            for c in pivots
+        )
+        sub = Subspace._canonical(a, rows, pivots)
+        closed = sub.is_subalgebra()
+    except NonFiniteValue as exc:
+        v = [kern.zero] * n
+        v[p - 1], v[q - 1] = x, y
         raise NonFiniteValue(
-            f"candidate for pair ({p},{q}) with v = {v_text} overflows in verification: {exc}"
+            f"candidate for pair ({p},{q}) with v = {Element._of(a, v).render()}"
+            f" overflows in verification: {exc}"
         ) from exc
     if not closed:
         if a.spec.kind == APPROX_REALS:
@@ -276,11 +291,12 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, vec: tuple | None, ski
                 " rounding makes the verdict tolerance-sensitive"
             )
         raise AssertionError(f"constructed candidate for pair ({p},{q}) failed verification")
+    verified[key] = sub
     return sub
 
 
 def _rank0_search(
-    a: EvolutionAlgebra, p: int, q: int
+    a: EvolutionAlgebra, p: int, q: int, verified: dict
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     """Findings and diagnostics for a pair whose submatrix vanishes (also
     the full dimension-two answer, where the submatrix has no rows), from
@@ -290,14 +306,16 @@ def _rank0_search(
     roots = tuple(nonzero_roots(cubic))
     found = []
     for lam in roots:
-        sub = _codim1_subspace(a, p, q, (kern.one, lam.value), 0)
+        sub = _codim1_subspace(a, p, q, kern.one, lam.value, verified)
         found.append(CodimOneFound(sub, p, q, CASE_ROOT, (a.spec.one(), lam), lam))
     _, apq, aqp, _ = _pair_constants(a, p, q)
     drop_q, drop_p = apq == 0, aqp == 0
     if drop_q:
-        found.append(CodimOneFound(_codim1_subspace(a, p, q, None, q), p, q, CASE_DROP_Q))
+        sub = _codim1_subspace(a, p, q, kern.one, kern.zero, verified)
+        found.append(CodimOneFound(sub, p, q, CASE_DROP_Q))
     if drop_p:
-        found.append(CodimOneFound(_codim1_subspace(a, p, q, None, p), p, q, CASE_DROP_P))
+        sub = _codim1_subspace(a, p, q, kern.zero, kern.one, verified)
+        found.append(CodimOneFound(sub, p, q, CASE_DROP_P))
     flagged = tuple(r for r in roots if kern.is_flagged_root(cubic._cs, r.value))
     return found, PairDiagnostics(
         p, q, 0, cubic=cubic, roots=roots, drop_p=drop_p, drop_q=drop_q, flagged_roots=flagged
@@ -305,7 +323,7 @@ def _rank0_search(
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, columns: list
+    a: EvolutionAlgebra, p: int, q: int, columns: list, verified: dict
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     p, q = min(p, q), max(p, q)
     rank = _pair_rank_of(a, p, q, columns)
@@ -320,12 +338,12 @@ def _pair_search(
         if holds:
             inv = kern.inv(y if x == 0 else x)
             vec = (kern.mul(x, inv), kern.mul(y, inv))
-            sub = _codim1_subspace(a, p, q, vec, 0)
+            sub = _codim1_subspace(a, p, q, *vec, verified)
             found.append(CodimOneFound(sub, p, q, CASE_ROW, tuple(map(wrap, vec))))
         return found, PairDiagnostics(
             p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-    return _rank0_search(a, p, q)
+    return _rank0_search(a, p, q, verified)
 
 
 def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
@@ -333,7 +351,7 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
-    found, _ = _pair_search(a, p, q, list(zip(*a.structure._rows)))
+    found, _ = _pair_search(a, p, q, list(zip(*a.structure._rows)), {})
     return found
 
 
@@ -342,8 +360,8 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
 
     Every pair p < q is scanned; in dimension two the one pair has an
     empty submatrix and the rank-0 formulas give the one-dimensional
-    answer.  Every returned subspace is re-verified to be closed, whatever
-    the field.
+    answer.  Each distinct candidate is verified to be closed once,
+    whatever the field.
     """
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
@@ -352,10 +370,10 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise UnsupportedFieldDimension(f"codimension-one search needs dimension >= 2, got {n}")
     all_found: list[CodimOneFound] = []
     diags: list[PairDiagnostics] = []
-    columns = list(zip(*a.structure._rows))
+    columns, verified = list(zip(*a.structure._rows)), {}
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            found, diag = _pair_search(a, p, q, columns)
+            found, diag = _pair_search(a, p, q, columns, verified)
             all_found.extend(found)
             diags.append(diag)
     unique: list[CodimOneFound] = []

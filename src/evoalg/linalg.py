@@ -88,7 +88,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
+        return self is other or (
             self.spec == other.spec
             and (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and all(map(self.spec._kernel.eq, self._rows, other._rows))

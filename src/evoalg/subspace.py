@@ -77,7 +77,7 @@ class Subspace:
         follows from the definition, e_a * e_b = 0 for a != b, not from
         the paper's theorem, so the check stays independent of it.  Each
         row is multiplied by itself, and every pair whose supports meet is
-        formed and reduced.
+        formed and reduced by the kernel's ``in_span``, on the free columns.
         """
         in_span, product = self.algebra.spec._kernel.in_span, self.algebra._product
         rows, pivots = self.basis._rows, self.pivot_cols
@@ -119,7 +119,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.algebra == other.algebra and self.basis == other.basis
+        return self is other or (self.algebra == other.algebra and self.basis == other.basis)
 
     def __hash__(self):
         return hash((self.algebra, self.basis))

@@ -3,8 +3,9 @@
 The oracles here (cofactor determinants, the Gaussian-binomial
 recurrence, bisection root finding, the rational-root divisor scan, the
 cubic discriminant, kernel counting, elimination, the algebra product and
-the closure test on ``FieldScalar`` operations) deliberately avoid the
-library code paths they are used to check.
+the closure test on ``FieldScalar`` operations, the full-row membership
+reduction) deliberately avoid the library code paths they are used to
+check.
 """
 
 from __future__ import annotations
@@ -310,6 +311,16 @@ def scalar_contains(sub, coords):
         if f.value != 0:
             v = [scalar_sub_mul(a, f, b) for a, b in zip(v, row)]
     return all(x.value == 0 for x in v)
+
+
+def full_row_in_span(kern, v, rows, pivots):
+    """Reference membership test on raw values: ``v`` reduced against the
+    RREF basis ``rows`` by the kernel's ``sub_multiple`` on every column,
+    pivot columns included, to an exactly zero residual."""
+    for row, c in zip(rows, pivots):
+        if v[c] != 0:
+            v = kern.sub_multiple(v, v[c], row)
+    return not any(v)
 
 
 def scalar_is_subalgebra(sub):

@@ -106,30 +106,38 @@ def _scalar(rng: random.Random, kind) -> str:
     return f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}"
 
 
-def _mutate(rng: random.Random, obj: dict):
-    n = len(obj["matrix"])
+def _mutate(rng: random.Random, obj):
+    """One random mutation of a file object.  A file that an earlier
+    mutation left as no object, or without a square list of rows under
+    ``"matrix"``, is returned as it is, with no draw."""
+    rows = obj.get("matrix") if isinstance(obj, dict) else None
+    if not isinstance(rows, list) or not rows:
+        return obj
+    n = len(rows)
+    if not all(isinstance(r, list) and len(r) == n for r in rows):
+        return obj
     what = rng.randrange(7)
     if what == 0:
-        obj["matrix"][rng.randrange(n)][rng.randrange(n)] = rng.choice(ODD_SCALARS)
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(ODD_SCALARS)
     elif what == 1:
-        obj["matrix"][rng.randrange(n)][rng.randrange(n)] = rng.choice(ODD_ENTRIES)
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(ODD_ENTRIES)
     elif what == 2:
         obj["field"] = rng.choice(ODD_FIELDS)
     elif what == 3:
         obj["dim"] = rng.choice(ODD_DIMS + (n + 1, n - 1))
     elif what == 4:
-        row = obj["matrix"][rng.randrange(n)]
+        row = rows[rng.randrange(n)]
         choice = rng.randrange(4)
         if choice == 0:
-            del obj["matrix"][rng.randrange(n)]
+            del rows[rng.randrange(n)]
         elif choice == 1:
             row.pop()
         elif choice == 2:
             row.append("0")
         else:
-            obj["matrix"][0] = "x"
+            rows[0] = "x"
     elif what == 5:
-        del obj[rng.choice(("field", "dim", "matrix"))]
+        obj.pop(rng.choice(("field", "dim", "matrix")), None)  # an earlier mutation may have deleted it
     else:
         return rng.choice(([], "x", 3, {"field": obj.get("field")}))
     return obj
@@ -148,10 +156,6 @@ def _file(rng: random.Random) -> tuple[bytes, str, int]:
         rows = [[_scalar(rng, kind) for _ in range(n)] for _ in range(n)]
     obj = {"field": dict(field), "dim": n, "matrix": rows}
     for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
-        if not isinstance(obj, dict) or not isinstance(obj.get("matrix"), list) or not obj["matrix"]:
-            break
-        if not all(isinstance(r, list) and len(r) == len(obj["matrix"]) for r in obj["matrix"]):
-            break
         obj = _mutate(rng, obj)
     return json.dumps(obj).encode(), kind, n
 
@@ -186,6 +190,16 @@ def _cases():
         case_id = f"{i:03d}-{command}" + ("-json" if as_json else "")
         cases.append(pytest.param(command, args, data, id=case_id))
     return cases
+
+
+def test_file_generator_draws_on_any_seed():
+    # A mutation may meet a file that an earlier one left without a key or
+    # without a matrix; the generator must still return bytes.
+    for seed in range(200):
+        rng = random.Random(seed)
+        for _ in range(50):
+            data, kind, n = _file(rng)
+            assert isinstance(data, bytes)
 
 
 def _on_alarm(signum, frame):

@@ -143,7 +143,7 @@ def test_dim2_closed_form_matches_fp_enumeration():
         for rows in all_regular_structures(p, 2):
             a = make_algebra(spec, rows)
             via_scan = subspace_keys(solve_onedim(a))
-            via_form = subspace_keys([f.subspace for f in _rank0_search(a, 1, 2)[0]])
+            via_form = subspace_keys([f.subspace for f in _rank0_search(a, 1, 2, {})[0]])
             assert via_scan == via_form
 
 
@@ -335,6 +335,56 @@ def test_enumerate_codim1_identity_dim3_f2():
     assert report.count == 6
     oracle_planes = [s for s in enumerate_subalgebras(a) if s.dim == 2]
     assert subspace_keys(report.subspaces()) == subspace_keys(oracle_planes)
+
+
+def test_each_distinct_codim1_candidate_is_verified_once(monkeypatch):
+    # Every pair of the 4-dim identity algebra has rank 0: one root line
+    # and both coordinate hyperplanes, 18 candidates in all, of which the
+    # 12 hyperplanes are only 4 distinct subspaces.
+    calls = []
+    verify = Subspace.is_subalgebra
+    monkeypatch.setattr(Subspace, "is_subalgebra", lambda sub: calls.append(sub) or verify(sub))
+    report = enumerate_codim1(make_algebra(Q, identity_rows(4)))
+    assert sum(len(d.roots) + d.drop_p + d.drop_q for d in report.diagnostics) == 18
+    assert len(calls) == report.count == 10
+    assert len({id(sub) for sub in calls}) == 10
+
+
+def _unsigned(rows):
+    """Raw rows with every zero unsigned: ``-0.0 + 0`` is ``0.0``."""
+    return tuple(tuple(x + 0 for x in row) for row in rows)
+
+
+@pytest.mark.parametrize("spec", [Q, F2, FieldSpec.prime_field(7), R9], ids=["Q", "F2", "F7", "R"])
+def test_closed_form_codim1_basis_is_the_rref_of_its_spanning_rows(spec):
+    # On the zero algebra every subspace is closed, so any candidate is kept.
+    rng, kern = random.Random(1401), spec._kernel
+    pool = {"Q": ("1", "-2", "1/3", "-5/4", "7"), "Fp": ("1", "2", "3", "4", "5", "6")}.get(
+        spec.kind, ("1", "-1", "49", "-49", "0.1", "-3.5", "1e-3", "6e5")
+    )
+    value = lambda: Matrix.from_rows(spec, [["0" if rng.random() < 0.3 else rng.choice(pool)]])._rows[0][0]
+    coefficients = [(49.0, 3.0), (-2.0, 0.0), (-2.0, -0.0)] if spec.kind == "R" else []
+    for _ in range(60):
+        x, y = value(), value()
+        coefficients.append((x, y) if x != 0 or y != 0 else (kern.one, y))
+    for n in range(2, 7):
+        a = make_algebra(spec, [[0] * n] * n)
+        units = Matrix.identity(spec, n)._rows
+        for x0, y0 in coefficients:
+            p, q = sorted(rng.sample(range(1, n + 1), 2))
+            inv = kern.inv(y0 if x0 == 0 else x0)  # the rank-1 row, as the search scales it
+            for x, y in ((x0, y0), (kern.mul(x0, inv), kern.mul(y0, inv)), (kern.one, y0), (y0, x0)):
+                if x == 0 and y == 0:
+                    continue
+                v = [kern.zero] * n
+                v[p - 1], v[q - 1] = x, y
+                spanning = [units[i] for i in range(n) if i not in (p - 1, q - 1)] + [tuple(v)]
+                ref = Subspace(a, Matrix._trusted(spec, tuple(spanning), n))
+                sub = _codim1_subspace(a, p, q, x, y, {})
+                assert sub.pivot_cols == ref.pivot_cols
+                assert repr(_unsigned(sub.basis._rows)) == repr(_unsigned(ref.basis._rows))
+    if spec.kind == "R":
+        assert kern.mul(49.0, kern.inv(49.0)) != 1.0  # the scaled row keeps a pivot below one
 
 
 def test_enumerate_codim1_dim2_delegates_to_lines():
@@ -675,5 +725,5 @@ def test_real_cubic_with_a_small_leading_coefficient_has_three_lines():
     ]
     roots = [f.root.value for f in enumerate_codim1(a).found]
     assert roots[2] == 1.9999999200000032
-    sub = _codim1_subspace(a, 1, 2, (1.0, roots[2]), 0)
+    sub = _codim1_subspace(a, 1, 2, 1.0, roots[2], {})
     assert sub.is_subalgebra() and sub.render() == "span{e1 + 1.9999999200000032*e2}"
