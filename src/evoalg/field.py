@@ -344,9 +344,10 @@ class _Reals(_Rationals):
 
     def nonzero_roots(self, cs) -> list:
         """The real roots of the exact binary cubic ``cs``, each correctly
-        rounded, kept when nonzero, distinct beyond ``tol`` and accepted by
-        ``_residual_within``.  These absolute tests act on roots, ratios
-        that scaling the structure matrix leaves alone."""
+        rounded, kept when above ``tol`` in magnitude, unequal by ``eq`` to
+        the last kept (so, as they ascend, pairwise unequal) and accepted
+        by ``_residual_within``.  The zero test is absolute: a root is a
+        ratio that scaling the structure matrix leaves alone."""
         chain = _sturm_chain(map(Fraction, cs))
         out: list[float] = []
         for _, hi, k in _root_intervals(chain, _rounds_alike):
@@ -357,7 +358,7 @@ class _Reals(_Rationals):
                 continue
             if not self._residual_within(cs, x, 1.0):
                 continue
-            if out and abs(x - out[-1]) <= self.tol:
+            if out and self.eq((x,), (out[-1],)):
                 continue
             out.append(x)
         return out
@@ -515,12 +516,12 @@ class FieldScalar:
             return NotImplemented
         if exponent < 0:
             return self.inv() ** (-exponent)
-        if self.spec.kind == PRIME_FIELD:
-            return FieldScalar(self.spec, pow(self.value, exponent, self.spec.p))
-        out = self.spec.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
+        kern, out = self.spec._kernel, self.spec._kernel.one
+        for bit in bin(exponent)[2:]:  # square and multiply, from the top bit
+            out = kern.mul(out, out)
+            if bit == "1":
+                out = kern.mul(out, self.value)
+        return FieldScalar(self.spec, out)
 
     # -- comparison and rendering --------------------------------------
 
@@ -678,8 +679,8 @@ def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:
     The field's kernel finds them: over F_p every nonzero residue is
     evaluated; over Q and R a Sturm sequence isolates them, exact over Q
     and correctly rounded over R, where a root is kept when above ``tol``,
-    more than ``tol`` above the last kept, and with ``|poly(x)|`` within
-    ``tol`` times the largest term ``|c_k x^k|`` it sums.
+    unequal by the field's equality to the last kept (so to every one), and
+    with ``|poly(x)|`` within ``tol`` times the largest term it sums.
 
     Raises IdenticallyZeroPolynomial when every coefficient is zero, since
     then every scalar is a root and the caller must decide what that means.

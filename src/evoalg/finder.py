@@ -14,11 +14,11 @@ rows p, q removed):
   of ``e_q``, plus the two coordinate hyperplanes when the off-diagonal
   constants ``a[p,q]`` / ``a[q,p]`` vanish.
 
-The rank is read straight off the structure matrix, without building or
-reducing the submatrix: column 1 pivots as in ``rref``, and the rank is 2
-as soon as one other row has a nonzero column-2 residual against the
-pivot row, which for a typical rank-2 pair is the first row looked at.
-Rank-0 and rank-1 pairs read every row.
+Each pair takes its submatrix once, as raw ``(x, y)`` rows, and reads
+the rank off them without reducing them: column 1 pivots as in ``rref``,
+and the rank is 2 as soon as one other row has a nonzero column-2
+residual against the pivot row, which for a typical rank-2 pair is the
+first row looked at.  Rank-0 and rank-1 pairs read every row.
 
 Dimension two is the same pair scan: the submatrix has no rows, so the
 single pair has rank 0, and the rank-0 formulas yield the complete list of
@@ -32,14 +32,19 @@ The field's kernel decides the closure identity (over R relative to its
 products) and finds and flags the cubic's roots.
 
 A candidate's reduced row echelon basis is known in closed form, so no
-candidate is eliminated, and one search verifies each distinct candidate
-once: a coordinate hyperplane reached from several pairs is checked at
-the first of them, in scan order.
+candidate is eliminated.  A candidate is fixed by the free column of a
+coordinate hyperplane, or by (p, q, t) for ``e_p + t*e_q``, and distinct
+keys give subspaces the field's equality tells apart: different free
+columns or different p leave a unit entry facing a zero, and the t of one
+pair are its pairwise unequal roots (``field.nonzero_roots``).  So only a
+coordinate hyperplane recurs: a search verifies it once, hands the same
+object back, and drops repeats by identity.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
@@ -141,14 +146,8 @@ def _check_pair_with_rows(a: EvolutionAlgebra, p: int, q: int) -> None:
 def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> tuple[tuple, ...]:
     """Columns p, q (1-based) of the structure matrix without rows p, q,
     in their original order, as raw values."""
-    skip = (p - 1, q - 1)
-    return tuple((r[p - 1], r[q - 1]) for i, r in enumerate(a.structure._rows) if i not in skip)
-
-
-def _pair_rank_of(a: EvolutionAlgebra, p: int, q: int, columns: list) -> int:
-    """Rank of the pair submatrix, from the structure matrix's raw columns (p < q)."""
-    xs, ys = (c[: p - 1] + c[p : q - 1] + c[q:] for c in (columns[p - 1], columns[q - 1]))
-    return _pair_rank(xs, ys, a.spec)
+    rows, (i, j) = a.structure._rows, sorted((p - 1, q - 1))
+    return tuple(map(operator.itemgetter(p - 1, q - 1), rows[:i] + rows[i + 1 : j] + rows[j + 1 :]))
 
 
 def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
@@ -193,8 +192,8 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     """
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    rank = _pair_rank_of(a, p, q, list(zip(*a.structure._rows)))
-    return PairSubmatrix(p, q, Matrix._trusted(a.spec, _pair_rows(a, p, q), 2), rank)
+    rows = _pair_rows(a, p, q)
+    return PairSubmatrix(p, q, Matrix._trusted(a.spec, rows, 2), _pair_rank(rows, a.spec._kernel))
 
 
 def _pair_constants(a: EvolutionAlgebra, p: int, q: int) -> tuple:
@@ -254,21 +253,20 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) 
     form: the unit rows of every column but one free column, with v scaled
     as ``linalg._eliminate`` scales it, to e_p + t*e_q; where x or t is
     zero, the coordinate hyperplane without e_p or e_q.  ``verified`` maps
-    each hyperplane already verified in this search, ``(free,)`` or
-    ``(p, q, t)``, to its subspace; any other is verified on the spot.  The
-    theory guarantees closure, so over exact fields a failure is a bug.
-    Over R no known input fails, but rounded verdicts are not proved to
-    agree, so a failure is refused with NotASubalgebra, and an overflow
-    while scaling v or verifying is a NonFiniteValue that names the pair
-    and the candidate.
+    the free column of each coordinate hyperplane verified in this search
+    to its subspace; any other candidate comes up once per search and is
+    verified on the spot.  The theory guarantees closure, so over exact
+    fields a failure is a bug.  Over R no known input fails, but rounded
+    verdicts are not proved to agree, so a failure is refused with
+    NotASubalgebra, and an overflow while scaling v or verifying is a
+    NonFiniteValue that names the pair and the candidate.
     """
     kern, n = a.spec._kernel, a.dim
     try:
         t = kern.zero if x == 0 else y if x == 1 else kern.mul(y, kern.inv(x))
         free = p - 1 if x == 0 else q - 1
-        key = (p, q, t) if t != 0 else (free,)
-        if key in verified:
-            return verified[key]
+        if t == 0 and free in verified:
+            return verified[free]
         pivots = tuple(c for c in range(n) if c != free)
         lead = (p - 1, free) if t != 0 else None  # where the row of v holds t
         rows = tuple(
@@ -291,7 +289,8 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) 
                 " rounding makes the verdict tolerance-sensitive"
             )
         raise AssertionError(f"constructed candidate for pair ({p},{q}) failed verification")
-    verified[key] = sub
+    if t == 0:
+        verified[free] = sub
     return sub
 
 
@@ -323,15 +322,15 @@ def _rank0_search(
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, columns: list, verified: dict
+    a: EvolutionAlgebra, p: int, q: int, verified: dict
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     p, q = min(p, q), max(p, q)
-    rank = _pair_rank_of(a, p, q, columns)
+    kern, rows = a.spec._kernel, _pair_rows(a, p, q)
+    rank = _pair_rank(rows, kern)
     if rank == 2:
         return [], PairDiagnostics(p, q, 2)
     if rank == 1:
-        kern = a.spec._kernel
-        x, y = next(r for r in _pair_rows(a, p, q) if any(r))
+        x, y = next(r for r in rows if any(r))
         lhs, rhs, holds = _closure_verdict(a, p, q, x, y)
         wrap = functools.partial(FieldScalar, a.spec)
         found = []
@@ -351,7 +350,7 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
-    found, _ = _pair_search(a, p, q, list(zip(*a.structure._rows)), {})
+    found, _ = _pair_search(a, p, q, {})
     return found
 
 
@@ -361,24 +360,22 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
     Every pair p < q is scanned; in dimension two the one pair has an
     empty submatrix and the rank-0 formulas give the one-dimensional
     answer.  Each distinct candidate is verified to be closed once,
-    whatever the field.
+    whatever the field, and the first finding of each subspace object, in
+    scan order, is kept (see the module notes).
     """
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
     n = a.dim
     if n < 2:
         raise UnsupportedFieldDimension(f"codimension-one search needs dimension >= 2, got {n}")
-    all_found: list[CodimOneFound] = []
+    first: dict[int, CodimOneFound] = {}
     diags: list[PairDiagnostics] = []
-    columns, verified = list(zip(*a.structure._rows)), {}
+    verified: dict = {}
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            found, diag = _pair_search(a, p, q, columns, verified)
-            all_found.extend(found)
+            found, diag = _pair_search(a, p, q, verified)
+            for f in found:
+                first.setdefault(id(f.subspace), f)
             diags.append(diag)
-    unique: list[CodimOneFound] = []
-    for f in all_found:
-        if not any(f.subspace == u.subspace for u in unique):
-            unique.append(f)
-    unique.sort(key=lambda f: f.subspace.sort_key())
+    unique = sorted(first.values(), key=lambda f: f.subspace.sort_key())
     return SubalgebraReport(a, tuple(unique), tuple(diags))

@@ -17,7 +17,8 @@ pivot product leaves the normal float range.
 
 The rank of a two-column matrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
-rule and row operations.
+rule and row operations; it reads the raw ``(x, y)`` rows the search
+takes once per pair.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ def _gauss_jordan(rows: list[list], kern) -> list[int]:
     return cols
 
 
-def _pair_rank(xs: Sequence, ys: Sequence, spec: FieldSpec) -> int:
-    """Rank of the two-column matrix with raw-value columns ``xs``, ``ys``.
+def _pair_rank(rows: Sequence, kern) -> int:
+    """Rank of the two-column matrix of raw ``(x, y)`` rows, by ``kern``.
 
     Column 1 pivots as in ``_eliminate``, on row ``(a0, b0)``.  The rank is
     2 at the first other row whose column-2 residual
@@ -191,12 +192,11 @@ def _pair_rank(xs: Sequence, ys: Sequence, spec: FieldSpec) -> int:
     the one ``rref`` finds.  With no column-1 pivot the rank is 1 when
     column 2 has a nonzero entry, else 0.
     """
-    kern = spec._kernel
-    rows = list(zip(xs, ys))
     i = kern.pick_pivot(rows, 0, 0)
     if i < 0:
-        return 1 if any(ys) else 0
-    s = kern.mul(ys[i], kern.inv(xs[i]))
+        return 1 if any(y for _, y in rows) else 0
+    a0, b0 = rows[i]
+    s = kern.mul(b0, kern.inv(a0))
     for k, (x, y) in enumerate(rows):
         if k != i and (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
             return 2

@@ -4,8 +4,8 @@ The oracles here (cofactor determinants, the Gaussian-binomial
 recurrence, bisection root finding, the rational-root divisor scan, the
 cubic discriminant, kernel counting, elimination, the algebra product and
 the closure test on ``FieldScalar`` operations, the full-row membership
-reduction) deliberately avoid the library code paths they are used to
-check.
+reduction, the pairwise ``==`` deduplication of codimension-one findings)
+deliberately avoid the library code paths they are used to check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from evoalg import APPROX_REALS, EvolutionAlgebra, FieldSpec, Matrix
+from evoalg import APPROX_REALS, EvolutionAlgebra, FieldSpec, Matrix, codim1_for_pair
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -107,6 +107,17 @@ SMALL_LEAD_REAL_ROWS = [["-3", "-2"], ["1e-8", "-1"]]
 _R0 = 6.0 + 1.0 / 3.0
 FLAGGED_ROOT_ROWS = [[-2.0 - _R0, -2.0 * _R0, 0.0], [1.0, _R0 - 1.0, 0.0], [0.0, 0.0, 1.0]]
 FLAGGED_ROOT_REALS = FieldSpec.approx_reals(1e-15)
+
+
+# Regular real algebra text whose one pair has the cubic with roots 1,
+# 1 + 1e-9 and 2: at tol 1e-9 the first two are equal, so one line.
+NEAR_EQUAL_ROOTS_REAL_ROWS = [["5.000000003", "2.000000002"], ["1", "4.000000001"]]
+
+# Regular real algebra text whose one pair has the cubic with roots 0.01,
+# 0.01 + 3e-10 and 2, before its coefficients are rounded to floats: the
+# first two lie within tol of each other but are unequal at tol 1e-9, and
+# both lines are closed.
+CLOSE_SMALL_ROOTS_REAL_ROWS = [["0.040100000603", "0.000200000006"], ["1", "2.0200000003"]]
 
 
 def identity_rows(n):
@@ -321,6 +332,19 @@ def full_row_in_span(kern, v, rows, pivots):
         if v[c] != 0:
             v = kern.sub_multiple(v, v[c], row)
     return not any(v)
+
+
+def pairwise_deduplicated_codim1(a):
+    """Reference codimension-one answer: the findings of every pair p < q,
+    each from its own search, in scan order, each kept unless ``==`` to a
+    finding kept before it, then sorted canonically."""
+    unique = []
+    for p, q in itertools.combinations(range(1, a.dim + 1), 2):
+        for f in codim1_for_pair(a, p, q):
+            if not any(f.subspace == u.subspace for u in unique):
+                unique.append(f)
+    unique.sort(key=lambda f: f.subspace.sort_key())
+    return tuple(unique)
 
 
 def scalar_is_subalgebra(sub):

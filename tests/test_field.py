@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,11 @@ def test_scalar_pow():
     assert (x ** 3).value == Fraction(8, 27)
     assert (F5.from_int(2) ** 4).value == 1
     assert (x ** -1).value == Fraction(3, 2)
+    # Repeated squaring: a huge exponent costs a product per bit.
+    for spec, want in ((Q, Fraction(-1)), (F5, 4), (R9, -1.0)):
+        start = time.perf_counter()
+        assert (spec.from_int(-1) ** (10**9 + 1)).value == want
+        assert time.perf_counter() - start < 1.0
 
 
 def _poly(spec, c3, c2, c1, c0):
@@ -248,6 +255,24 @@ def test_real_cubic_double_root():
     assert len(roots) == 2
     assert abs(roots[0] + 2.0) <= 1e-7
     assert abs(roots[1] - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_real_roots_are_pairwise_unequal_scalars(tol):
+    # Cubics with dyadic roots, so that their float coefficients are nearly
+    # always exact, two of them a relative distance near tol apart: some
+    # pairs fall between tol and tol*(|x| + |y|), some below tol, some
+    # above both.
+    spec, rng, kept_close = FieldSpec.approx_reals(tol), random.Random(1503), 0
+    for _ in range(300):
+        r1, r3 = rng.choice((-1, 1)) * rng.randint(1, 80) / 8, rng.choice((-1, 1)) * rng.randint(1, 20) / 4
+        r2 = r1 + 2.0 ** round(math.log2(abs(r1) * tol * 10 ** rng.uniform(-1, 1.5)))
+        cs = [1, -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3]
+        roots = nonzero_roots(_poly(spec, *cs))
+        assert all(x != y for x, y in itertools.combinations(roots, 2)), (cs, roots)
+        close = (abs(x.value - y.value) < 10 * tol * abs(x.value) for x, y in itertools.combinations(roots, 2))
+        kept_close += any(close)
+    assert kept_close >= 20
 
 
 def test_real_residual_bound_holds():

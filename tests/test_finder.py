@@ -16,6 +16,8 @@ from evoalg import (
     CASE_ROW,
     FieldSpec,
     Matrix,
+    NonFiniteValue,
+    NotASubalgebra,
     NotRegular,
     Subspace,
     TooLarge,
@@ -50,11 +52,14 @@ from support import (
     SMALL_LEAD_REAL_ROWS,
     SWAP_2D_ROWS,
     TINY_CUBIC_REAL_ROWS,
+    CLOSE_SMALL_ROOTS_REAL_ROWS,
+    NEAR_EQUAL_ROOTS_REAL_ROWS,
     all_regular_structures,
     bases_close,
     elem,
     identity_rows,
     make_algebra,
+    pairwise_deduplicated_codim1,
     random_regular_fp,
     random_regular_rational,
     subspace_keys,
@@ -727,3 +732,100 @@ def test_real_cubic_with_a_small_leading_coefficient_has_three_lines():
     assert roots[2] == 1.9999999200000032
     sub = _codim1_subspace(a, 1, 2, 1.0, roots[2], {})
     assert sub.is_subalgebra() and sub.render() == "span{e1 + 1.9999999200000032*e2}"
+
+
+# -- one sameness rule: the field's equality ---------------------------
+
+R12 = FieldSpec.approx_reals(1e-12)
+
+
+def _entry(spec, rng):
+    """A random nonzero entry; over R often within a factor of ten of tol."""
+    if spec.kind == "Fp":
+        return rng.randrange(1, spec.p)
+    if spec.kind == "Q":
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
+    if rng.random() < 0.2:
+        return rng.choice((-1, 1)) * spec.tol * 10 ** rng.uniform(-1, 1)
+    return rng.choice((rng.randint(-4, 4) or 1, rng.uniform(-5, 5)))
+
+
+def _sparse_regular_algebra(spec, n, rng):
+    """Blocks of size one and two on the diagonal plus a few stray entries:
+    rank-0 and rank-1 pairs, whose coordinate hyperplanes recur across pairs."""
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        i = 0
+        while i < n:
+            b = min(rng.choice((1, 2, 2)), n - i)
+            for r, c in itertools.product(range(i, i + b), repeat=2):
+                rows[r][c] = _entry(spec, rng) if rng.random() < 0.9 else 0
+            i += b
+        for _ in range(rng.randint(0, n)):
+            rows[rng.randrange(n)][rng.randrange(n)] = _entry(spec, rng)
+        a = make_algebra(spec, rows)
+        if a.is_regular():
+            return a
+
+
+def _findings(found):
+    return [(f.subspace.render(), f.p, f.q, f.case, repr(f.vector), repr(f.root)) for f in found]
+
+
+@pytest.mark.parametrize("spec", [Q, F3, FieldSpec.prime_field(7), R9, R12], ids=["Q", "F3", "F7", "R9", "R12"])
+def test_codim1_keeps_what_the_pairwise_equality_dedup_keeps(spec):
+    rng, repeats = random.Random(1501), 0
+    for _ in range(40):
+        a = _sparse_regular_algebra(spec, rng.randint(3, 6), rng)
+        report, want = enumerate_codim1(a), pairwise_deduplicated_codim1(a)
+        assert _findings(report.found) == _findings(want)
+        assert report.found == want
+        candidates = sum(
+            len(d.roots or ()) + bool(d.drop_p) + bool(d.drop_q) + bool(d.closure_holds) for d in report.diagnostics
+        )
+        repeats += candidates > report.count
+    assert repeats >= 20  # algebras with a hyperplane reached from several pairs
+
+
+def _lines(a):
+    return [line.render() for line in solve_onedim(a)]
+
+
+def _codim1_lines(a):
+    return [sub.render() for sub in enumerate_codim1(a).subspaces()]
+
+
+def _outcome(search, a):
+    """What ``search(a)`` returns, or the type and message of what it raises."""
+    try:
+        return search(a)
+    except (NotASubalgebra, NonFiniteValue) as exc:
+        return type(exc), str(exc)
+
+
+def test_onedim_and_codim1_agree_in_dimension_two():
+    for p in (2, 3, 5, 7):
+        spec = FieldSpec.prime_field(p)
+        for rows in all_regular_structures(p, 2):
+            a = make_algebra(spec, rows)
+            assert _lines(a) == _codim1_lines(a), rows
+    rng = random.Random(1502)
+    for spec in (Q, R9, R12):
+        for _ in range(150):
+            a = _sparse_regular_algebra(spec, 2, rng)
+            assert _outcome(_lines, a) == _outcome(_codim1_lines, a), a.structure
+
+
+def test_real_lines_merge_by_the_fields_equality():
+    # Roots 1, 1 + 1e-9 and 2: the first two are equal at tol 1e-9, one line.
+    a = make_algebra(R9, NEAR_EQUAL_ROOTS_REAL_ROWS)
+    assert _lines(a) == _codim1_lines(a) == ["span{e1 + e2}", "span{e1 + 2*e2}"]
+    assert [r.value for r in enumerate_codim1(a).diagnostics[0].roots] == [1.0, 2.0]
+    # Roots about 2.7e-10 apart near 0.01: within tol, yet unequal, and both closed.
+    b = make_algebra(R9, CLOSE_SMALL_ROOTS_REAL_ROWS)
+    assert _lines(b) == _codim1_lines(b) == [
+        "span{e1 + 0.010000000014864159*e2}",
+        "span{e1 + 0.010000000285135842*e2}",
+        "span{e1 + 2*e2}",
+    ]
+    assert all(line.is_subalgebra() for line in solve_onedim(b))

@@ -316,7 +316,7 @@ def test_pair_rank_matches_rref_rank(spec):
         m = Matrix.from_rows(spec, [[x, y] for x, y in zip(xs, ys)], ncols=2)
         xv = [r[0].value for r in m.rows()]
         yv = [r[1].value for r in m.rows()]
-        assert _pair_rank(xv, yv, spec) == rref(m).rank, m
+        assert _pair_rank(list(zip(xv, yv)), spec._kernel) == rref(m).rank, m
 
 
 @pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
