@@ -5,14 +5,15 @@ field (``"Fp"``), or floating-point reals with a relative precision
 ``tol`` (``"R"``).  Scalars are immutable and carry their spec, so mixing
 values from different fields fails loudly instead of silently coercing.
 
-The library has one representation: raw values (``Fraction`` over Q, int
-residues over F_p, floats over R), stored by ``Matrix``, ``Element`` and
-``Subspace`` and computed on by the spec's kernel (``_Rationals``,
-``_PrimeField``, ``_Reals``), the only code for canonical form, equality
-and its hash, inverse, reduction mod p, rendering and the overflow check
-over R.  A raw value is zero when it equals 0, in every field; over R
-only a sum or difference that cancels is rounded to zero (``_Reals``).
-A ``FieldScalar`` is a value at the API boundary: public constructors
+The library has one representation: raw values (over Q an int where
+integral and a reduced ``Fraction`` otherwise, int residues over F_p,
+floats over R), stored by ``Matrix``, ``Element`` and ``Subspace`` and
+computed on by the spec's kernel (``_Rationals``, ``_PrimeField``,
+``_Reals``), the only code for canonical form, equality and its hash,
+inverse, reduction mod p, rendering and the overflow check over R.  A
+raw value is zero when it equals 0, in every field; over R only a sum or
+difference that cancels is rounded to zero (``_Reals``).  A
+``FieldScalar`` is a value at the API boundary: public constructors
 unwrap it once (``_value_of``, ``_coerced_value``); accessors,
 diagnostics and rendering create it.
 
@@ -89,16 +90,31 @@ def _finite(x: float) -> float:
     return x
 
 
-class _Rationals:
-    """Raw-value arithmetic of Q.  ``zero`` and ``one`` have the field's
-    value type: mixed int and ``Fraction`` operands are slow."""
+def _q(x):
+    """The raw value of the rational ``x``, an int or a reduced ``Fraction``:
+    an int where the denominator is one."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
-    zero, one = Fraction(0), Fraction(1)
+
+class _Rationals:
+    """Raw-value arithmetic of Q.  A raw value is an ``int`` where it is
+    integral and a reduced ``Fraction`` with denominator above one
+    otherwise, so the integral entries that dominate sparse inputs take
+    int arithmetic.  Row operations, ``mul`` and ``inv`` normalise their
+    results with ``_q``; ``product``, ``det_and_rank`` and
+    ``nonzero_roots`` leave that to ``FieldScalar``, through which alone
+    their results reach callers."""
+
+    zero, one = 0, 1
 
     def canonical(self, value):
+        if type(value) is int:
+            return value
+        if isinstance(value, Fraction) or _is_int(value):
+            return _q(value)
         if isinstance(value, float):
             raise TypeError("exact rational scalars do not accept floats")
-        return value if isinstance(value, Fraction) else Fraction(value)
+        raise TypeError(f"exact rational scalars need an int or a Fraction, got {type(value).__name__}")
 
     def eq(self, xs, ys) -> bool:
         """Entry-wise equality of two tuples of raw values."""
@@ -116,10 +132,10 @@ class _Rationals:
             return f"{num}" if den == 1 else f"{num}/{den}"
 
     def inv(self, x):
-        return self.one / x
+        return _q(Fraction(1, x) if type(x) is int else 1 / x)  # 1 / x on ints is a float
 
     def mul(self, x, y):
-        return x * y
+        return _q(x * y)
 
     product = staticmethod(math.prod)  # over F_p, FieldScalar reduces it once
 
@@ -130,7 +146,7 @@ class _Rationals:
         """``row + f * prow``.  An entry of ``row`` facing a zero of ``prow``
         is passed through unmultiplied: ``a + f * 0`` is ``a``, and the
         rows of a sparse basis are mostly zeros."""
-        return [a + f * b if b else a for a, b in zip(row, prow)]
+        return [_q(a + f * b) if b else a for a, b in zip(row, prow)]
 
     def sub_multiple(self, row, f, prow) -> list:
         """``row - f * prow``."""
@@ -177,12 +193,12 @@ class _Rationals:
 
     @staticmethod
     def _cleared(xs) -> tuple[list[int], int]:
-        """The Fractions ``xs`` times the lcm of their denominators, as
+        """The rationals ``xs`` times the lcm of their denominators, as
         ints, and that lcm."""
         den = math.lcm(*(x.denominator for x in xs))
         return [x.numerator * (den // x.denominator) for x in xs], den
 
-    def det_and_rank(self, rows) -> tuple[Fraction, int]:
+    def det_and_rank(self, rows) -> tuple[int | Fraction, int]:
         """Determinant and rank of the square grid ``rows``, by Bareiss
         elimination on its rows cleared of denominators: every entry is
         then a minor, so each division is exact.  Pivots and row swaps are
@@ -224,14 +240,13 @@ class _Rationals:
 class _PrimeField(_Rationals):
     """Int residues mod p, reduced after every product, sum and difference."""
 
-    zero, one = 0, 1
     det_and_rank = None  # linalg's forward elimination
 
     def __init__(self, p: int):
         self.p = p
 
     def canonical(self, value):
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise TypeError(f"prime field scalars need an int, got {type(value).__name__}")
         return value % self.p
 
@@ -453,8 +468,11 @@ class FieldSpec:
 class FieldScalar:
     """One field element, tagged with its :class:`FieldSpec`.
 
-    Values are canonical: reduced ``Fraction`` with positive denominator
-    over Q, residue in ``[0, p)`` over F_p, finite ``float`` over R.
+    Values are canonical: over Q an ``int`` where integral and otherwise a
+    reduced ``Fraction`` with denominator above one, residue in ``[0, p)``
+    over F_p, finite ``float`` over R.  Over Q a value is built from an int
+    (not a bool) or a ``Fraction``, over F_p from an int (not a bool); any
+    other type raises TypeError.
     Equality and hashing are the kernel's: over R, ``a - b`` cancels to
     zero.  ``is_zero`` is exact, and the operators do not round.
     """

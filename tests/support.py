@@ -124,6 +124,23 @@ def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def is_rational_raw(x) -> bool:
+    """The raw-value rule of Q: an int where integral, else a Fraction with
+    denominator above one; never a bool, a float or an integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def sparse_int_rows(n, rng: random.Random):
+    """n x n ints with a nonzero diagonal and about n/2 nonzero entries off
+    it, so most pairs have rank 0 or 1 and the search finds subalgebras."""
+    units = (-3, -2, -1, 1, 2, 3)
+    rows = [[rng.choice(units) if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(n // 2 + 1):
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rng.choice(units)
+    return rows
+
+
 def make_algebra(spec, rows) -> EvolutionAlgebra:
     return EvolutionAlgebra.from_rows(spec, rows)
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from support import (
     changes_sign_around,
     distinct_real_root_count,
     full_row_in_span,
+    is_rational_raw,
     pool_divisors,
     rational_roots_by_divisors,
     real_root_brackets,
@@ -166,6 +168,30 @@ def test_scalar_pow():
         start = time.perf_counter()
         assert (spec.from_int(-1) ** (10**9 + 1)).value == want
         assert time.perf_counter() - start < 1.0
+
+
+def test_rational_division_results():
+    # An integral quotient is an int, a proper one a Fraction; ``1 / x``
+    # on two ints would be a float.
+    assert (Q.from_int(2) ** -1).value == Fraction(1, 2)
+    assert (Q.from_int(6) / 4).value == Fraction(3, 2)
+    three = FieldScalar(Q, Fraction(1, 3)).inv().value
+    assert three == 3 and type(three) is int
+
+
+@pytest.mark.parametrize(
+    "spec, value",
+    [(Q, "1e4000000"), (Q, "0.5"), (Q, Decimal("0.1")), (Q, True), (F5, True)],
+    ids=["Q-exponent-text", "Q-decimal-text", "Q-Decimal", "Q-bool", "F5-bool"],
+)
+def test_scalar_constructor_refuses_other_types(spec, value):
+    # Only an int (not a bool) or, over Q, a Fraction is a value: text goes
+    # through scalar_parse, which refuses decimal syntax over exact fields.
+    # The refusal is immediate, whatever the exponent in the text.
+    start = time.perf_counter()
+    with pytest.raises(TypeError):
+        FieldScalar(spec, value)
+    assert time.perf_counter() - start < 0.1
 
 
 def _poly(spec, c3, c2, c1, c0):
@@ -471,7 +497,7 @@ def test_exact_row_operations_match_the_full_formula(spec):
         subtracted = [kern.canonical(a - f * b) for a, b in zip(row, prow)]
         assert kern.add_multiple(row, f, prow) == added
         assert kern.sub_multiple(row, f, prow) == subtracted
-        assert all(type(x) is type(kern.zero) for x in added + subtracted)
+        assert all(is_rational_raw(x) if spec == Q else type(x) is int for x in added + subtracted)
 
 
 def test_real_row_operations_compute_entries_facing_zeros():

@@ -28,6 +28,7 @@ from evoalg import (
     codim1_necessary,
     enumerate_codim1,
     enumerate_subalgebras,
+    enumerate_subspaces_of,
     onedim_residual,
     pair_submatrix,
     solve_onedim,
@@ -59,9 +60,11 @@ from support import (
     elem,
     identity_rows,
     make_algebra,
+    make_matrix,
     pairwise_deduplicated_codim1,
     random_regular_fp,
     random_regular_rational,
+    sparse_int_rows,
     subspace_keys,
 )
 
@@ -440,6 +443,36 @@ def test_completeness_against_oracle_f5_sample():
         found = enumerate_codim1(a).subspaces()
         oracle = [s for s in enumerate_subalgebras(a) if s.dim == 2]
         assert subspace_keys(found) == subspace_keys(oracle)
+
+
+def test_rational_findings_reduce_to_prime_field_subalgebras():
+    # An independent check of the answers over Q: the canonical basis of a
+    # codimension-one subalgebra of an integer algebra, reduced mod p,
+    # spans a closed hyperplane of the algebra mod p, found by the F_p
+    # brute force, for each p dividing neither the determinant nor a
+    # denominator of a finding.  The reduced basis is still in echelon form.
+    rng, checked, with_fractions = random.Random(409), 0, 0
+    for n, primes, count in ((3, (5, 7, 11), 12), (4, (5, 7, 11), 8), (5, (5,), 4)):
+        for _ in range(count):
+            rows = sparse_int_rows(n, rng)
+            a = make_algebra(Q, rows)
+            if not a.is_regular():
+                continue
+            det = a.determinant().value
+            bases = [f.subspace.basis._rows for f in enumerate_codim1(a).found]
+            denominators = {x.denominator for b in bases for row in b for x in row}
+            for p in primes:
+                if det % p == 0 or any(d % p == 0 for d in denominators):
+                    continue
+                fp = FieldSpec.prime_field(p)
+                ap = make_algebra(fp, rows)
+                closed = {s for s in enumerate_subspaces_of(ap, n - 1) if s.is_subalgebra()}
+                for b in bases:
+                    reduced = [[x.numerator * pow(x.denominator, -1, p) for x in row] for row in b]
+                    assert Subspace(ap, make_matrix(fp, reduced)) in closed
+                    checked += 1
+                    with_fractions += any(x.denominator > 1 for row in b for x in row)
+    assert checked > 100 and with_fractions > 10
 
 
 def test_lemma_bijection_small_sample():

@@ -5,6 +5,7 @@ the API boundary, and no ``FieldScalar`` arithmetic behind it."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,17 @@ import pytest
 from evoalg import (
     Element,
     FieldScalar,
+    LowDegreePoly,
     Matrix,
     Subspace,
     UnsupportedFieldDimension,
+    determinant,
     enumerate_codim1,
     enumerate_subalgebras,
+    inverse,
+    onedim_residual,
+    rref,
+    scalar_parse,
     solve_onedim,
 )
 from evoalg.cli import main
@@ -30,8 +37,10 @@ from support import (
     SWAP_2D_ROWS,
     elem,
     identity_rows,
+    is_rational_raw,
     make_algebra,
     make_matrix,
+    sparse_int_rows,
 )
 
 TOL = R9.tol
@@ -139,3 +148,66 @@ def test_library_does_no_scalar_arithmetic(spec, monkeypatch, tmp_path, capsys):
             assert main(["codim1", flag, str(path)]) == 0
             assert capsys.readouterr().err == ""
     assert flagged == (1 if flagged_case else 0)
+
+
+def test_rational_raw_values_are_ints_or_proper_fractions():
+    # Over Q a raw value is an int where integral and a Fraction with
+    # denominator above one otherwise, never a float: checked on what each
+    # source leaves behind, in raw storage where it has one.
+    rng, kern = random.Random(181), Q._kernel
+    seen, bad = 0, []
+
+    def check(where, values):
+        nonlocal seen
+        values = list(values)
+        seen += len(values)
+        bad.extend((where, x) for x in values if not is_rational_raw(x))
+
+    def draw():
+        if rng.random() < 0.45:
+            return 0
+        return rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))))
+
+    def nonzero():
+        while (x := draw()) == 0:
+            pass
+        return x
+
+    def matrix_values(m):
+        return [x for row in m._rows for x in row]
+
+    check("scalar_parse", (scalar_parse(t, Q).value for t in ("6", "-6/3", "6/4", "0/7", "+8/2", "-1/1")))
+    for _ in range(200):
+        x, y = FieldScalar(Q, draw()), FieldScalar(Q, nonzero())
+        powers = [x**k for k in range(4)] + ([x**k for k in range(-3, 0)] if not x.is_zero() else [])
+        check("FieldScalar", (z.value for z in (x + y, x - y, x * y, x / y, y.inv(), 3 - x, *powers)))
+        a, f, b = (kern.canonical(draw()) for _ in range(3))
+        row, prow = [kern.canonical(draw()) for _ in range(4)], [kern.canonical(draw()) for _ in range(4)]
+        check("kernel", [kern.mul(a, b), kern.inv(kern.canonical(nonzero())), kern.sub_mul(a, f, b), kern.dot(row, prow)])
+        check("kernel rows", kern.scale(row, f) + kern.add_multiple(row, f, prow) + kern.sub_multiple(row, f, prow))
+    for n in (2, 3, 4, 5):
+        for k in range(20):
+            rows = sparse_int_rows(n, rng) if k % 2 else [[draw() for _ in range(n)] for _ in range(n)]
+            a = make_algebra(Q, rows)
+            m = a.structure
+            check("rref", matrix_values(rref(m).rref))
+            check("determinant", [determinant(m).value])
+            if not a.is_regular():
+                continue
+            check("inverse and @", matrix_values(inverse(m)) + matrix_values(m @ inverse(m)))
+            check("transpose_inverse", matrix_values(a.transpose_inverse()))
+            check("onedim_residual", onedim_residual(a, a.element([draw() for _ in range(n)]))._coords)
+            poly = LowDegreePoly.from_values(Q, *(draw() for _ in range(4)))
+            check("LowDegreePoly", [*poly._cs, poly.evaluate(FieldScalar(Q, draw())).value])
+            report = enumerate_codim1(a)
+            for found in report.found:
+                scalars = [*(found.vector or ()), *([found.root] if found.root is not None else [])]
+                check("codim1 finding", [*matrix_values(found.subspace.basis), *(s.value for s in scalars)])
+            for d in report.diagnostics:
+                scalars = [*(d.row or ()), d.closure_lhs, d.closure_rhs, *(d.roots or ()), *d.flagged_roots]
+                check("codim1 diagnostics", [s.value for s in scalars if s is not None])
+                check("codim1 cubic", d.cubic._cs if d.cubic else ())
+            if n == 2:
+                check("solve_onedim", [x for s in solve_onedim(a) for x in matrix_values(s.basis)])
+    assert seen > 10_000
+    assert not bad, bad[:5]
