@@ -21,8 +21,6 @@ from .errors import (
 )
 from .field import (
     APPROX_REALS,
-    PRIME_FIELD,
-    RATIONALS,
     FieldScalar,
     FieldSpec,
     LowDegreePoly,
@@ -36,7 +34,6 @@ from .finder import (
     CASE_ROW,
     CodimOneFound,
     PairDiagnostics,
-    PairSubmatrix,
     SubalgebraReport,
     closure_condition,
     closure_cubic,
@@ -47,7 +44,7 @@ from .finder import (
     pair_submatrix,
     solve_onedim,
 )
-from .linalg import Matrix, RrefResult, determinant, inverse, rref
+from .linalg import Matrix, determinant, inverse, rref
 from .oracle import enumerate_subalgebras, enumerate_subspaces, enumerate_subspaces_of
 from .subspace import Subspace
 
@@ -71,12 +68,8 @@ __all__ = [
     "NonFiniteValue",
     "NotASubalgebra",
     "NotRegular",
-    "PRIME_FIELD",
     "PairDiagnostics",
-    "PairSubmatrix",
     "ParseError",
-    "RATIONALS",
-    "RrefResult",
     "SingularMatrix",
     "SubalgebraReport",
     "Subspace",

@@ -281,7 +281,11 @@ class _Reals(_Rationals):
         self.tol, self._screen = tol, 8 * tol
 
     def canonical(self, value):
-        return _finite(float(value))
+        if type(value) is float:
+            return _finite(value)
+        if isinstance(value, (float, Fraction)) or _is_int(value):
+            return _finite(float(value))
+        raise TypeError(f"real scalars need a float, an int or a Fraction, got {type(value).__name__}")
 
     def eq(self, xs, ys) -> bool:
         """Entry-wise: ``a - b`` cancels to zero by the rule of ``sub_mul``."""

@@ -39,6 +39,15 @@ columns or different p leave a unit entry facing a zero, and the t of one
 pair are its pairwise unequal roots (``field.nonzero_roots``).  So only a
 coordinate hyperplane recurs: a search verifies it once, hands the same
 object back, and drops repeats by identity.
+
+A candidate is verified by ``Subspace.is_subalgebra`` specialised to its
+basis (``_hyperplane_closed``): the rows have disjoint supports, so only
+their squares count, a unit row's square is read off the structure
+matrix, and a square lies in the hyperplane exactly when its free entry
+minus t times its entry at p is zero.  That is O(n) kernel steps per
+candidate with the verdict, the first failing row and the overflow
+message of the general check, which the tests compare against it and which
+``verify``, ``natural-basis`` and the oracle still use.
 """
 
 from __future__ import annotations
@@ -248,6 +257,26 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     return all(_closure_verdict(a, p, q, alpha, beta)[2] for alpha, beta in _pair_rows(a, p, q))
 
 
+def _hyperplane_closed(a: EvolutionAlgebra, rows: tuple, pivots: tuple, free: int, lead: int, t) -> bool:
+    """``Subspace.is_subalgebra`` on the closed-form basis ``rows`` of a
+    candidate: unit rows, and where ``t`` is nonzero the row of
+    v = e_lead + t*e_free.  The rows have disjoint supports, so only their
+    squares are formed, rows in pivot order, stopping at the first that
+    fails.  A unit row e_c squares to row c of the structure matrix, which
+    ``_product`` would return but for the sign of a zero; v squares by
+    ``_product``.  A square w lies in the hyperplane exactly when its free
+    entry reduces to zero, which ``in_span`` computes as
+    ``w[free] - w[lead]*t``, by ``sub_mul`` where both factors are nonzero.
+    """
+    kern, squares = a.spec._kernel, a.structure._rows
+    for c, row in zip(pivots, rows):
+        w = a._product(row, row) if row[free] else squares[c]
+        residual = w[free] if t == 0 or w[lead] == 0 else kern.sub_mul(w[free], w[lead], t)
+        if residual:
+            return False
+    return True
+
+
 def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) -> Subspace:
     """span({e_i : i != p,q} + {v}), v = x*e_p + y*e_q (raw), in canonical
     form: the unit rows of every column but one free column, with v scaled
@@ -255,9 +284,10 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) 
     zero, the coordinate hyperplane without e_p or e_q.  ``verified`` maps
     the free column of each coordinate hyperplane verified in this search
     to its subspace; any other candidate comes up once per search and is
-    verified on the spot.  The theory guarantees closure, so over exact
-    fields a failure is a bug.  Over R no known input fails, but rounded
-    verdicts are not proved to agree, so a failure is refused with
+    verified on the spot, by ``_hyperplane_closed``.  The theory
+    guarantees closure, so over exact fields a failure is a bug.  Over R
+    rounded verdicts are not proved to agree, and entries within a factor
+    of ten of ``tol`` can make them differ, so a failure is refused with
     NotASubalgebra, and an overflow while scaling v or verifying is a
     NonFiniteValue that names the pair and the candidate.
     """
@@ -274,7 +304,7 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) 
             for c in pivots
         )
         sub = Subspace._canonical(a, rows, pivots)
-        closed = sub.is_subalgebra()
+        closed = _hyperplane_closed(a, rows, pivots, free, p - 1, t)
     except NonFiniteValue as exc:
         v = [kern.zero] * n
         v[p - 1], v[q - 1] = x, y

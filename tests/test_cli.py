@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import evoalg
-from evoalg import ParseError, Subspace
+from evoalg import ParseError
 from evoalg.cli import AlgebraFile, main
 from support import (
     CUBIC_OVERFLOW_REAL_ROWS,
@@ -300,8 +300,8 @@ def test_real_cubic_with_zero_linear_term_is_answered(tmp_path, capsys, command,
 
 
 def test_codim1_real_candidate_failing_closure_is_one_line_error(tmp_path, capsys, monkeypatch):
-    # No known real input fails the search's closure re-check; force it.
-    monkeypatch.setattr(Subspace, "is_subalgebra", lambda self: False)
+    # Force the search's closure re-check to fail on an input that passes it.
+    monkeypatch.setattr(evoalg.finder, "_hyperplane_closed", lambda *args: False)
     path = write_algebra(tmp_path, "tiny.alg", REALS, 2, TINY_CUBIC_REAL_ROWS)
     code, out, err = run(capsys, "codim1", path)
     assert (code, out) == (1, "")

@@ -181,17 +181,43 @@ def test_rational_division_results():
 
 @pytest.mark.parametrize(
     "spec, value",
-    [(Q, "1e4000000"), (Q, "0.5"), (Q, Decimal("0.1")), (Q, True), (F5, True)],
-    ids=["Q-exponent-text", "Q-decimal-text", "Q-Decimal", "Q-bool", "F5-bool"],
+    [
+        (Q, "1e4000000"),
+        (Q, "0.5"),
+        (Q, Decimal("0.1")),
+        (Q, True),
+        (F5, True),
+        (R9, "1_0"),
+        (R9, "1.5"),
+        (R9, True),
+        (R9, Decimal("0.1")),
+    ],
+    ids=[
+        "Q-exponent-text",
+        "Q-decimal-text",
+        "Q-Decimal",
+        "Q-bool",
+        "F5-bool",
+        "R-underscore-text",
+        "R-text",
+        "R-bool",
+        "R-Decimal",
+    ],
 )
 def test_scalar_constructor_refuses_other_types(spec, value):
-    # Only an int (not a bool) or, over Q, a Fraction is a value: text goes
-    # through scalar_parse, which refuses decimal syntax over exact fields.
-    # The refusal is immediate, whatever the exponent in the text.
+    # Only an int (not a bool), over Q also a Fraction and over R also a
+    # float or a Fraction, is a value: text goes through scalar_parse, which
+    # refuses decimal syntax over exact fields and "1_0" everywhere.  The
+    # refusal is immediate, whatever the exponent in the text.
     start = time.perf_counter()
     with pytest.raises(TypeError):
         FieldScalar(spec, value)
     assert time.perf_counter() - start < 0.1
+
+
+def test_real_constructor_takes_floats_ints_and_fractions():
+    assert [FieldScalar(R9, x).value for x in (0.5, -3, Fraction(1, 4))] == [0.5, -3.0, 0.25]
+    assert type(FieldScalar(R9, -3).value) is float
 
 
 def _poly(spec, c3, c2, c1, c0):

@@ -14,6 +14,7 @@ from evoalg import (
     CASE_DROP_Q,
     CASE_ROOT,
     CASE_ROW,
+    EvoAlgError,
     FieldSpec,
     Matrix,
     NonFiniteValue,
@@ -33,6 +34,7 @@ from evoalg import (
     pair_submatrix,
     solve_onedim,
 )
+from evoalg import finder
 from evoalg.finder import _codim1_subspace
 from support import (
     F2,
@@ -350,12 +352,13 @@ def test_each_distinct_codim1_candidate_is_verified_once(monkeypatch):
     # and both coordinate hyperplanes, 18 candidates in all, of which the
     # 12 hyperplanes are only 4 distinct subspaces.
     calls = []
-    verify = Subspace.is_subalgebra
-    monkeypatch.setattr(Subspace, "is_subalgebra", lambda sub: calls.append(sub) or verify(sub))
+    verify = finder._hyperplane_closed
+    spy = lambda a, rows, *rest: calls.append(rows) or verify(a, rows, *rest)
+    monkeypatch.setattr(finder, "_hyperplane_closed", spy)
     report = enumerate_codim1(make_algebra(Q, identity_rows(4)))
     assert sum(len(d.roots) + d.drop_p + d.drop_q for d in report.diagnostics) == 18
     assert len(calls) == report.count == 10
-    assert len({id(sub) for sub in calls}) == 10
+    assert len({id(rows) for rows in calls}) == 10
 
 
 def _unsigned(rows):
@@ -425,6 +428,20 @@ def test_enumerate_codim1_sound_everywhere():
         a = make_algebra(Q, random_regular_rational(3, rng))
         for f in enumerate_codim1(a).found:
             assert f.subspace.is_subalgebra()
+    # The search verifies its candidates without is_subalgebra: every
+    # finding must still pass the general check, in dimensions up to six.
+    for spec in (F2, FieldSpec.prime_field(7), R9, R12):
+        found = 0
+        for _ in range(25):
+            a = _sparse_regular_algebra(spec, rng.randint(2, 6), rng)
+            try:
+                report = enumerate_codim1(a)
+            except NotASubalgebra:  # a refusal over R returns no subspace
+                continue
+            for f in report.found:
+                assert f.subspace.is_subalgebra()
+                found += 1
+        assert found >= 30, spec
 
 
 def test_completeness_against_oracle_f2_dim3():
@@ -862,3 +879,57 @@ def test_real_lines_merge_by_the_fields_equality():
         "span{e1 + 2*e2}",
     ]
     assert all(line.is_subalgebra() for line in solve_onedim(b))
+
+
+# -- the search's closure check ------------------------------------------
+
+
+def _wild_entry(spec, rng):
+    """A structure constant: often a zero (over R sometimes ``-0.0``), over
+    R sometimes near 1e300 or 1e-200."""
+    r = rng.random()
+    if r < 0.4:
+        return -0.0 if spec.kind == "R" and r < 0.1 else 0
+    if spec.kind == "R" and r < 0.55:
+        return rng.choice((-1, 1)) * rng.choice((1e300, 1e-200)) * rng.uniform(1, 9)
+    return _entry(spec, rng)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Q, F2, F3, FieldSpec.prime_field(7), R9, R12],
+    ids=["Q", "F2", "F3", "F7", "R9", "R12"],
+)
+def test_hyperplane_closure_matches_is_subalgebra(spec):
+    # Candidate-shaped bases, unit rows and e_p + t*e_q, on random
+    # structure matrices: t is a root of the pair's cubic or an arbitrary
+    # value (over R sometimes large enough to overflow), or zero for a
+    # coordinate hyperplane.
+    rng, kern = random.Random(2001), spec._kernel
+    outcomes = []
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        a = make_algebra(spec, [[_wild_entry(spec, rng) for _ in range(n)] for _ in range(n)])
+        p, q = sorted(rng.sample(range(n), 2))
+        free, t, r = q, _entry(spec, rng), rng.random()
+        if r < 0.25:
+            free, t = rng.choice((p, q)), kern.zero
+        elif r < 0.6:
+            try:
+                roots = [root.value for root in closure_cubic(a, p + 1, q + 1).nonzero_roots()]
+            except EvoAlgError:
+                roots = []
+            t = rng.choice(roots) if roots else t
+        elif r < 0.75 and spec.kind == "R":
+            t = rng.choice((-1, 1)) * 10 ** rng.uniform(3, 160)
+        pivots = tuple(c for c in range(n) if c != free)
+        rows = tuple(
+            tuple(kern.one if j == c else t if (c, j) == (p, free) else kern.zero for j in range(n))
+            for c in pivots
+        )
+        want = _outcome(Subspace.is_subalgebra, Subspace._canonical(a, rows, pivots))
+        assert _outcome(lambda a: finder._hyperplane_closed(a, rows, pivots, free, p, t), a) == want
+        outcomes.append(want)
+    assert outcomes.count(True) >= 15 and outcomes.count(False) >= 40
+    if spec.kind == "R":
+        assert sum(isinstance(o, tuple) for o in outcomes) >= 10  # overflows
