@@ -168,6 +168,11 @@ class _Rationals:
         nonzero entry."""
         return next((i for i in range(start, len(rows)) if rows[i][col] != 0), -1)
 
+    def pivot_order(self, column) -> list[int]:
+        """The indices of the nonzero entries of ``column`` in the order
+        ``pick_pivot`` prefers them: index order."""
+        return [i for i, x in enumerate(column) if x != 0]
+
     def in_span(self, v, rows, pivots) -> bool:
         """Whether ``v`` reduces to exactly zero against ``rows``, a reduced
         row echelon basis with its leading ones at ``pivots``.
@@ -354,6 +359,12 @@ class _Reals(_Rationals):
             if mag > best_mag:
                 best, best_mag = i, mag
         return best
+
+    def pivot_order(self, column) -> list[int]:
+        """The indices of the nonzero entries of ``column`` in the order
+        ``pick_pivot`` prefers them: by decreasing magnitude, the first
+        among equals first (the sort is stable)."""
+        return sorted((i for i, x in enumerate(column) if x != 0), key=lambda i: -abs(column[i]))
 
     def sums_equal(self, x, y, terms) -> bool:
         """``|x - y|`` within ``tol`` times the largest magnitude among

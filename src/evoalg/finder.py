@@ -14,11 +14,14 @@ rows p, q removed):
   of ``e_q``, plus the two coordinate hyperplanes when the off-diagonal
   constants ``a[p,q]`` / ``a[q,p]`` vanish.
 
-Each pair takes its submatrix once, as raw ``(x, y)`` rows, and reads
-the rank off them without reducing them: column 1 pivots as in ``rref``,
-and the rank is 2 as soon as one other row has a nonzero column-2
-residual against the pivot row, which for a typical rank-2 pair is the
-first row looked at.  Rank-0 and rank-1 pairs read every row.
+No pair copies its submatrix.  A search lists the nonzero rows of each
+column p once, in the order in which ``rref`` would pick them as pivots
+(``pivot_order`` of the field's kernel), and every pair (p, q) reads its
+rank from columns p and q of the structure matrix in place
+(``linalg._pair_rank``): the pivot is the first row of that list outside
+the pair, and the rank is 2 as soon as one other row has a nonzero
+column-q residual against the pivot row, which for a typical rank-2 pair
+is the first row looked at.  Rank-0 and rank-1 pairs read every row.
 
 Dimension two is the same pair scan: the submatrix has no rows, so the
 single pair has rank 0, and the rank-0 formulas yield the complete list of
@@ -159,6 +162,12 @@ def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> tuple[tuple, ...]:
     return tuple(map(operator.itemgetter(p - 1, q - 1), rows[:i] + rows[i + 1 : j] + rows[j + 1 :]))
 
 
+def _column_order(a: EvolutionAlgebra, p: int) -> list[int]:
+    """The kernel's pivot order of column p (1-based) of the structure
+    matrix, which ``_pair_rank`` needs for every pair (p, q)."""
+    return a.spec._kernel.pivot_order([row[p - 1] for row in a.structure._rows])
+
+
 def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
     """Defect of x in the one-dimensional closure system.
 
@@ -201,8 +210,9 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     """
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    rows = _pair_rows(a, p, q)
-    return PairSubmatrix(p, q, Matrix._trusted(a.spec, rows, 2), _pair_rank(rows, a.spec._kernel))
+    matrix = Matrix._trusted(a.spec, _pair_rows(a, p, q), 2)
+    rank = _pair_rank(a.structure._rows, p - 1, q - 1, _column_order(a, p), a.spec._kernel)
+    return PairSubmatrix(p, q, matrix, rank)
 
 
 def _pair_constants(a: EvolutionAlgebra, p: int, q: int) -> tuple:
@@ -352,15 +362,16 @@ def _rank0_search(
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, verified: dict
+    a: EvolutionAlgebra, p: int, q: int, verified: dict, order: list[int]
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
-    p, q = min(p, q), max(p, q)
-    kern, rows = a.spec._kernel, _pair_rows(a, p, q)
-    rank = _pair_rank(rows, kern)
+    """Findings and diagnostics for the pair p < q, where ``order`` is
+    ``_column_order(a, p)``."""
+    kern, rows, i, j = a.spec._kernel, a.structure._rows, p - 1, q - 1
+    rank = _pair_rank(rows, i, j, order, kern)
     if rank == 2:
         return [], PairDiagnostics(p, q, 2)
     if rank == 1:
-        x, y = next(r for r in rows if any(r))
+        x, y = next((r[i], r[j]) for k, r in enumerate(rows) if k != i and k != j and (r[i] or r[j]))
         lhs, rhs, holds = _closure_verdict(a, p, q, x, y)
         wrap = functools.partial(FieldScalar, a.spec)
         found = []
@@ -380,7 +391,8 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
-    found, _ = _pair_search(a, p, q, {})
+    p, q = min(p, q), max(p, q)
+    found, _ = _pair_search(a, p, q, {}, _column_order(a, p))
     return found
 
 
@@ -401,9 +413,10 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
     first: dict[int, CodimOneFound] = {}
     diags: list[PairDiagnostics] = []
     verified: dict = {}
-    for p in range(1, n + 1):
+    for p in range(1, n):
+        order = _column_order(a, p)
         for q in range(p + 1, n + 1):
-            found, diag = _pair_search(a, p, q, verified)
+            found, diag = _pair_search(a, p, q, verified, order)
             for f in found:
                 first.setdefault(id(f.subspace), f)
             diags.append(diag)

@@ -15,10 +15,12 @@ regularity do not change when the matrix is scaled, and an operation
 that overflows raises NonFiniteValue, as does a determinant whose
 pivot product leaves the normal float range.
 
-The rank of a two-column matrix, which decides each pair of the
+The rank of a pair submatrix, which decides each pair of the
 codimension-one search, has its own early-exit helper on the same pivot
-rule and row operations; it reads the raw ``(x, y)`` rows the search
-takes once per pair.
+rule and row operations.  It reads columns p and q of the structure
+matrix in place: the pivot is the first row outside the pair in the
+kernel's ``pivot_order`` of column p, which the search takes once per
+column, and the residuals follow in row order.
 """
 
 from __future__ import annotations
@@ -180,26 +182,30 @@ def _gauss_jordan(rows: list[list], kern) -> list[int]:
     return cols
 
 
-def _pair_rank(rows: Sequence, kern) -> int:
-    """Rank of the two-column matrix of raw ``(x, y)`` rows, by ``kern``.
+def _pair_rank(rows: Sequence, p: int, q: int, order: Sequence[int], kern) -> int:
+    """Rank of the pair submatrix of the raw grid ``rows``: columns
+    ``p`` and ``q`` (0-based) without rows ``p`` and ``q``, read in place.
 
-    Column 1 pivots as in ``_eliminate``, on row ``(a0, b0)``.  The rank is
-    2 at the first other row whose column-2 residual
-    ``y - x * (b0 * a0^-1)`` is nonzero, so a typical rank-2 matrix is
-    decided after a row or two.  The residual is the kernel's ``sub_mul``,
-    the column-2 entry of the row operation ``_eliminate`` performs, so
-    over R it cancels to zero exactly where ``rref``'s does and the rank is
-    the one ``rref`` finds.  With no column-1 pivot the rank is 1 when
-    column 2 has a nonzero entry, else 0.
+    ``order`` is ``kern.pivot_order`` of column ``p``, so its first row
+    outside the pair is the one ``pick_pivot`` takes on the submatrix:
+    column ``p`` pivots as in ``_eliminate``, on row ``(a0, b0)``.  The
+    rank is 2 at the first other row, in index order, whose column-``q``
+    residual ``y - x * (b0 * a0^-1)`` is nonzero, so a typical rank-2 pair
+    is decided after a row or two.  The residual is the kernel's
+    ``sub_mul``, the column-``q`` entry of the row operation ``_eliminate``
+    performs, so over R it cancels to zero exactly where ``rref``'s does
+    and the rank is the one ``rref`` finds.  With no column-``p`` pivot the
+    rank is 1 when column ``q`` has a nonzero entry, else 0.
     """
-    i = kern.pick_pivot(rows, 0, 0)
+    i = next((k for k in order if k != p and k != q), -1)
     if i < 0:
-        return 1 if any(y for _, y in rows) else 0
-    a0, b0 = rows[i]
-    s = kern.mul(b0, kern.inv(a0))
-    for k, (x, y) in enumerate(rows):
-        if k != i and (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
-            return 2
+        return 1 if any(row[q] for k, row in enumerate(rows) if k != p and k != q) else 0
+    s = kern.mul(rows[i][q], kern.inv(rows[i][p]))
+    for k, row in enumerate(rows):
+        if k != i and k != p and k != q:
+            x, y = row[p], row[q]
+            if (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
+                return 2
     return 1
 
 

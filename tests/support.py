@@ -4,18 +4,21 @@ The oracles here (cofactor determinants, the Gaussian-binomial
 recurrence, bisection root finding, the rational-root divisor scan, the
 cubic discriminant, kernel counting, elimination, the algebra product and
 the closure test on ``FieldScalar`` operations, the full-row membership
-reduction, the pairwise ``==`` deduplication of codimension-one findings)
-deliberately avoid the library code paths they are used to check.
+reduction, the pairwise ``==`` deduplication of codimension-one findings,
+the pair search on a copy of each pair's rows) deliberately avoid the
+library code paths they are used to check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
-from evoalg import APPROX_REALS, EvolutionAlgebra, FieldSpec, Matrix, codim1_for_pair
+from evoalg import APPROX_REALS, EvolutionAlgebra, FieldScalar, FieldSpec, Matrix, codim1_for_pair, finder
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -551,3 +554,65 @@ def real_root_brackets(cs):
             lo, hi = (mid, hi) if smid == slo else (lo, mid)
         out.append((lo, hi))
     return out
+
+
+def reference_pair_rows(a, p, q):
+    """Columns p, q (1-based) of the structure matrix without rows p, q,
+    in their original order, as raw ``(x, y)`` rows: the copy the
+    codimension-one search once took of every pair."""
+    rows, (i, j) = a.structure._rows, sorted((p - 1, q - 1))
+    return tuple((r[p - 1], r[q - 1]) for r in rows[:i] + rows[i + 1 : j] + rows[j + 1 :])
+
+
+def reference_pair_rank(rows, kern):
+    """Rank of the two-column matrix of raw ``(x, y)`` rows, as the search
+    once computed it on the copy: column 1 pivots by ``pick_pivot``, and
+    the rank is 2 at the first other row whose residual
+    ``y - x * (b0 * a0^-1)`` is nonzero."""
+    i = kern.pick_pivot(rows, 0, 0)
+    if i < 0:
+        return 1 if any(y for _, y in rows) else 0
+    a0, b0 = rows[i]
+    s = kern.mul(b0, kern.inv(a0))
+    for k, (x, y) in enumerate(rows):
+        if k != i and (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
+            return 2
+    return 1
+
+
+def reference_pair_search(a, p, q, verified, order):
+    """``finder._pair_search`` on a copy of the pair's rows ranked by
+    ``reference_pair_rank``: the search of one pair p < q before it read
+    ranks in place.  ``order`` is accepted and ignored."""
+    kern, rows = a.spec._kernel, reference_pair_rows(a, p, q)
+    rank = reference_pair_rank(rows, kern)
+    if rank == 2:
+        return [], finder.PairDiagnostics(p, q, 2)
+    if rank == 1:
+        x, y = next(r for r in rows if any(r))
+        lhs, rhs, holds = finder._closure_verdict(a, p, q, x, y)
+        wrap = functools.partial(FieldScalar, a.spec)
+        found = []
+        if holds:
+            inv = kern.inv(y if x == 0 else x)
+            vec = (kern.mul(x, inv), kern.mul(y, inv))
+            sub = finder._codim1_subspace(a, p, q, *vec, verified)
+            found.append(finder.CodimOneFound(sub, p, q, finder.CASE_ROW, tuple(map(wrap, vec))))
+        return found, finder.PairDiagnostics(
+            p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
+        )
+    return finder._rank0_search(a, p, q, verified)
+
+
+def reference_enumerate_codim1(a):
+    """``enumerate_codim1`` with every pair searched by ``reference_pair_search``."""
+    with mock.patch.object(finder, "_pair_search", reference_pair_search):
+        return finder.enumerate_codim1(a)
+
+
+def outcome(fn):
+    """``fn()``, or the type and message of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
