@@ -281,8 +281,8 @@ def cmd_verify(algfile: AlgebraFile, args):
     algebra = algfile.algebra()
     sub = _parse_span(args.span, algebra)
     closed = sub.is_subalgebra()
-    regular = algebra.is_regular()
-    basis = _natural_basis(sub, args.json) if closed and regular else None
+    regular = closed and algebra.is_regular()
+    basis = _natural_basis(sub, args.json) if regular else None
     note = None if basis else "not a subalgebra" if not closed else "ambient algebra not regular"
     if args.json:
         return {"subalgebra": closed, **(basis or {"natural_basis": None, "supports": None}), "note": note}

@@ -103,7 +103,7 @@ class _Rationals:
     int arithmetic.  Row operations, ``mul`` and ``inv`` normalise their
     results with ``_q``; ``product``, ``det_and_rank`` and
     ``nonzero_roots`` leave that to ``FieldScalar``, through which alone
-    their results reach callers."""
+    their results reach callers, and ``minors`` are only tested for zero."""
 
     zero, one = 0, 1
 
@@ -155,6 +155,13 @@ class _Rationals:
     def sub_mul(self, a, f, b):
         """``a - f * b``: one entry of ``sub_multiple``."""
         return self.canonical(a - f * b)
+
+    def minors(self, prow, row, c) -> list:
+        """The 2x2 minors of the rows ``prow`` and ``row`` against column
+        ``c``: entry j is ``prow[c]*row[j] - row[c]*prow[j]``, with no
+        division, so integral entries stay ints."""
+        a0, x = prow[c], row[c]
+        return [a0 * y - x * b for y, b in zip(row, prow)]
 
     def dot(self, xs, ys):
         """``x1*y1 + x2*y2 + ...``, summed left to right."""
@@ -265,6 +272,10 @@ class _PrimeField(_Rationals):
         p = self.p
         return [(a + f * b) % p if b else a for a, b in zip(row, prow)]  # a is a reduced residue
 
+    def minors(self, prow, row, c) -> list:
+        p, a0, x = self.p, prow[c], row[c]
+        return [(a0 * y - x * b) % p for y, b in zip(row, prow)]
+
     def nonzero_roots(self, cs) -> list:
         return [x for x in range(1, self.p) if _horner4(*cs, x) % self.p == 0]
 
@@ -279,6 +290,7 @@ class _Reals(_Rationals):
 
     zero, one = 0.0, 1.0
     det_and_rank = None  # linalg's forward elimination
+    minors = None  # a pair's rank needs the cancellation rule of sub_mul
 
     def __init__(self, tol: float):
         # With tol < 1/2 a sum that cancels is below 8*tol times its first

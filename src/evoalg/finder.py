@@ -16,12 +16,18 @@ rows p, q removed):
 
 No pair copies its submatrix.  A search lists the nonzero rows of each
 column p once, in the order in which ``rref`` would pick them as pivots
-(``pivot_order`` of the field's kernel), and every pair (p, q) reads its
+(``pivot_order`` of the field's kernel), and a pair (p, q) reads its
 rank from columns p and q of the structure matrix in place
 (``linalg._pair_rank``): the pivot is the first row of that list outside
 the pair, and the rank is 2 as soon as one other row has a nonzero
 column-q residual against the pivot row, which for a typical rank-2 pair
-is the first row looked at.  Rank-0 and rank-1 pairs read every row.
+is the first row looked at.  Over Q and F_p that first residual is, up
+to the nonzero pivot entry, a 2x2 minor, so one division-free row
+operation per column (``linalg._rank2_columns``) gives it for every q
+at once, and the pairs whose minor is nonzero are rank 2 without a
+``_pair_rank`` call.  The rest, and every pair over R, where the
+residual's cancellation rule decides, go through ``_pair_rank``.
+Rank-0 and rank-1 pairs read every row.
 
 Dimension two is the same pair scan: the submatrix has no rows, so the
 single pair has rank 0, and the rank-0 formulas yield the complete list of
@@ -62,7 +68,7 @@ from dataclasses import dataclass
 from .algebra import Element, EvolutionAlgebra
 from .errors import NonFiniteValue, NotASubalgebra, NotRegular, UnsupportedFieldDimension
 from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
-from .linalg import Matrix, _pair_rank
+from .linalg import Matrix, _pair_rank, _rank2_columns
 from .oracle import enumerate_subspaces_of
 from .subspace import Subspace
 
@@ -164,7 +170,8 @@ def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> tuple[tuple, ...]:
 
 def _column_order(a: EvolutionAlgebra, p: int) -> list[int]:
     """The kernel's pivot order of column p (1-based) of the structure
-    matrix, which ``_pair_rank`` needs for every pair (p, q)."""
+    matrix, from which ``_rank2_columns`` and ``_pair_rank`` take the
+    pivot of every pair (p, q)."""
     return a.spec._kernel.pivot_order([row[p - 1] for row in a.structure._rows])
 
 
@@ -189,17 +196,18 @@ def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
 
     Over a prime field every line of the oracle's stream is tested.  In
     dimension two the closed form applies over any field.  Infinite
-    fields in dimension three and above are out of scope.
+    fields in dimension three and above are out of scope, and are refused
+    before the regularity check.
     """
+    if a.spec.kind != PRIME_FIELD and a.dim != 2:
+        raise UnsupportedFieldDimension(
+            f"one-dimensional search over {a.spec.describe()} supports dimension 2 only"
+        )
     if not a.is_regular():
         raise NotRegular("one-dimensional search needs a regular algebra")
     if a.spec.kind == PRIME_FIELD:
         return [line for line in enumerate_subspaces_of(a, 1) if line.is_subalgebra()]
-    if a.dim == 2:
-        return sorted((found.subspace for found in _rank0_search(a, 1, 2, {})[0]), key=Subspace.sort_key)
-    raise UnsupportedFieldDimension(
-        f"one-dimensional search over {a.spec.describe()} supports dimension 2 only"
-    )
+    return sorted((found.subspace for found in _rank0_search(a, 1, 2, {})[0]), key=Subspace.sort_key)
 
 
 def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
@@ -413,9 +421,14 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
     first: dict[int, CodimOneFound] = {}
     diags: list[PairDiagnostics] = []
     verified: dict = {}
+    rows, kern = a.structure._rows, a.spec._kernel
     for p in range(1, n):
         order = _column_order(a, p)
+        rank2 = _rank2_columns(rows, p - 1, order, kern)
         for q in range(p + 1, n + 1):
+            if q - 1 in rank2:
+                diags.append(PairDiagnostics(p, q, 2))
+                continue
             found, diag = _pair_search(a, p, q, verified, order)
             for f in found:
                 first.setdefault(id(f.subspace), f)

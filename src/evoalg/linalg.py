@@ -20,7 +20,10 @@ codimension-one search, has its own early-exit helper on the same pivot
 rule and row operations.  It reads columns p and q of the structure
 matrix in place: the pivot is the first row outside the pair in the
 kernel's ``pivot_order`` of column p, which the search takes once per
-column, and the residuals follow in row order.
+column, and the residuals follow in row order.  Over Q and F_p the
+search first takes one division-free row operation per column, the
+kernel's ``minors`` of the pivot row and the first other row, whose
+nonzero entries rule out most rank-2 pairs before any per-pair call.
 """
 
 from __future__ import annotations
@@ -207,6 +210,27 @@ def _pair_rank(rows: Sequence, p: int, q: int, order: Sequence[int], kern) -> in
             if (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
                 return 2
     return 1
+
+
+def _rank2_columns(rows: Sequence, p: int, order: Sequence[int], kern) -> set[int]:
+    """Columns q of the raw grid ``rows`` for which one 2x2 minor shows
+    ``_pair_rank(rows, p, q, order, kern) == 2``, from one row operation.
+
+    The pivot row i is the first of ``order`` other than ``p``, and k0 is
+    the first row other than ``p`` and i.  For every q outside {p, i, k0},
+    ``_pair_rank`` pivots on row i and looks at row k0 first; over an exact
+    field, whose ``a0 * (y - x * (b0 / a0))`` is zero exactly where
+    ``y - x * (b0 / a0)`` is, a nonzero minor of rows (i, k0) against
+    columns (p, q) is the residual at which it returns 2.  Every other
+    pair needs ``_pair_rank``, and so does every pair over R (the kernel
+    has no ``minors``), where the rank follows the cancellation rule of
+    ``sub_mul``.
+    """
+    i = next((k for k in order if k != p), -1)
+    if kern.minors is None or i < 0 or len(rows) < 3:
+        return set()
+    k0 = next(k for k in range(len(rows)) if k != p and k != i)
+    return {q for q, m in enumerate(kern.minors(rows[i], rows[k0], p)) if m} - {i, k0}
 
 
 def rref(m: Matrix) -> RrefResult:

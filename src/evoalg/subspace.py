@@ -92,14 +92,15 @@ class Subspace:
         """The canonical basis, which is natural when the ambient algebra
         is regular: pairwise products vanish and supports are disjoint.
 
-        Raises NotRegular for singular ambient algebras (no guarantee
-        exists there, even though such bases occasionally do) and
-        NotASubalgebra when the subspace is not closed.
+        Raises NotASubalgebra when the subspace is not closed, and else
+        NotRegular for singular ambient algebras (no guarantee exists
+        there, even though such bases occasionally do): closure is
+        checked first, as it needs no elimination of the structure matrix.
         """
-        if not self.algebra.is_regular():
-            raise NotRegular("ambient algebra is not regular")
         if not self.is_subalgebra():
             raise NotASubalgebra("subspace is not closed under the product")
+        if not self.algebra.is_regular():
+            raise NotRegular("ambient algebra is not regular")
         basis = list(self.basis_elements())
         for i, u in enumerate(basis):
             for w in basis[i + 1 :]:

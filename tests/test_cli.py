@@ -415,6 +415,30 @@ def test_natural_basis_failure_exit_code(identity2, capsys):
     assert "not closed" in err
 
 
+def test_commands_refuse_before_the_regularity_elimination(tmp_path, capsys, monkeypatch):
+    # The elimination of the structure matrix is the dearest check: a span
+    # that is not closed, or onedim over Q in dimension three, is answered
+    # without it, for singular algebras too.
+    def refuse(self):
+        raise AssertionError("the structure matrix was eliminated")
+
+    monkeypatch.setattr(evoalg.EvolutionAlgebra, "_elimination", refuse)
+    for name, rows in (("id3", identity_rows(3)), ("nil", SHIFT_NILPOTENT_ROWS)):
+        path = write_algebra(tmp_path, f"{name}.alg", {"kind": "Q"}, 3, rows)
+        assert run(capsys, "verify", path, "--span", "1,2,0") == (0, "subalgebra: no\n", "")
+        code, out, err = run(capsys, "verify", path, "--span", "1,2,0", "--json")
+        assert code == 0 and json.loads(out)["note"] == "not a subalgebra"
+        code, _, err = run(capsys, "natural-basis", path, "--span", "1,2,0")
+        assert code == 1 and err == "error: subspace is not closed under the product\n"
+        code, _, err = run(capsys, "onedim", path)
+        assert code == 1 and "supports dimension 2 only" in err
+        a = AlgebraFile.from_path(path).algebra()
+        with pytest.raises(evoalg.NotASubalgebra):
+            evoalg.Subspace.span(a, [a.element([1, 2, 0])]).natural_basis()
+        with pytest.raises(evoalg.UnsupportedFieldDimension):
+            evoalg.solve_onedim(a)
+
+
 def test_enumerate(nilpotent_f2, capsys):
     code, out, _ = run(capsys, "enumerate", nilpotent_f2)
     assert code == 0

@@ -126,7 +126,13 @@ def test_solve_onedim_dim2_over_reals():
 
 
 def test_solve_onedim_rejects_nonregular():
-    with pytest.raises(NotRegular):
+    # Singular algebras inside the search's scope: Q in dimension two and
+    # F_2 in dimension three.  The singular Q algebra in dimension three
+    # is refused for its dimension first.
+    for spec, rows in ((Q, [[0, 1], [0, 0]]), (F2, SHIFT_NILPOTENT_ROWS)):
+        with pytest.raises(NotRegular):
+            solve_onedim(make_algebra(spec, rows))
+    with pytest.raises(UnsupportedFieldDimension):
         solve_onedim(make_algebra(Q, SHIFT_NILPOTENT_ROWS))
 
 
