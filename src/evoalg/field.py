@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -250,9 +251,9 @@ class _Rationals:
 
 
 class _PrimeField(_Rationals):
-    """Int residues mod p, reduced after every product, sum and difference."""
-
-    det_and_rank = None  # linalg's forward elimination
+    """Int residues mod p, reduced after every product, sum and difference
+    except in ``det_and_rank``, which packs each row into one int and
+    reduces only its pivot rows."""
 
     def __init__(self, p: int):
         self.p = p
@@ -275,6 +276,43 @@ class _PrimeField(_Rationals):
     def minors(self, prow, row, c) -> list:
         p, a0, x = self.p, prow[c], row[c]
         return [(a0 * y - x * b) % p for y, b in zip(row, prow)]
+
+    def det_and_rank(self, rows) -> tuple[int, int]:
+        """Determinant and rank of the square grid ``rows`` of residues, by
+        forward elimination on rows packed into ints: entry j of a row is
+        the slot of bits ``[j*w, (j+1)*w)``, and each column shifts every
+        row down one slot, so the low slot is the column being cleared.
+
+        A column pivots on the first row whose low slot is nonzero mod p.
+        Its other slots are reduced mod p once; every row below, with low
+        slot f, becomes ``(u >> w) + (-f/pivot mod p) * prow``, one
+        multiply-add with no reduction.  A slot starts below p and gains
+        at most ``(p-1)**2`` per operation, at most n - 1 times, so it stays
+        below ``(p-1) * (1 + n*(p-1)) < 2**w`` and no carry crosses into
+        the next slot.  The rank and the determinant over a field do not
+        depend on the order of elimination."""
+        p, n = self.p, len(rows)
+        w = ((p - 1) * (1 + n * (p - 1))).bit_length()
+        mask, shifts = (1 << w) - 1, range(0, n * w, w)
+        rest = [sum(map(operator.lshift, row, shifts)) for row in rows]
+        det, rank = 1, 0
+        for _ in range(n):
+            i = next((i for i, u in enumerate(rest) if (u & mask) % p), -1)
+            if i < 0:
+                rest = [u >> w for u in rest]
+                continue
+            if i:
+                rest[0], rest[i], det = rest[i], rest[0], -det
+            u = rest[0]
+            piv = (u & mask) % p
+            det, rank = det * piv % p, rank + 1
+            prow, shift = 0, 0
+            while u := u >> w:
+                prow |= ((u & mask) % p) << shift
+                shift += w
+            g = p - pow(piv, -1, p)
+            rest = [(u >> w) + (u & mask) * g % p * prow for u in rest[1:]]
+        return (det if rank == n else 0), rank
 
     def nonzero_roots(self, cs) -> list:
         return [x for x in range(1, self.p) if _horner4(*cs, x) % self.p == 0]

@@ -5,10 +5,11 @@
 as they are, and ``rows``/``row``/``entry`` create ``FieldScalar`` on the
 way out.  ``rref`` and ``inverse`` run one forward elimination on the raw
 rows, through the ``FieldSpec``'s kernel with no field check per
-operation, and finish it with a back pass over the pivot rows; over F_p
-and R ``determinant`` reads the signed product of its pivots, over Q the
-kernel's fraction-free elimination on ints.  The matrix product uses the
-same kernel.  Everything is exact over Q and F_p.  Over
+operation, and finish it with a back pass over the pivot rows; over R
+``determinant`` reads the signed product of its pivots, over Q and F_p
+the kernel's own elimination: fraction-free on ints over Q, on rows
+packed into one int each over F_p.  The matrix product uses the same
+kernel.  Everything is exact over Q and F_p.  Over
 R the pivot is the nonzero entry of largest magnitude; an entry is zero
 only where a row operation cancelled it (``field._Reals``), so rank and
 regularity do not change when the matrix is scaled, and an operation
@@ -249,7 +250,8 @@ def rref(m: Matrix) -> RrefResult:
 
 def _elimination(m: Matrix) -> tuple[int, list]:
     """Pivot count of the square ``m`` and the unmultiplied factors of its
-    determinant: the Q kernel's fraction-free determinant, else the
+    determinant: the kernel's ``det_and_rank`` where it has one (Bareiss
+    over Q, the packed-integer elimination over F_p), else, over R, the
     row-swap sign and the pivots of ``_eliminate`` in the order taken."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of a {m.nrows}x{m.ncols} matrix")

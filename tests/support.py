@@ -25,6 +25,9 @@ F2 = FieldSpec.prime_field(2)
 F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
 R9 = FieldSpec.approx_reals(1e-9)
+# The largest prime below field._PRIME_TEST_LIMIT: the largest modulus
+# FieldSpec accepts.
+LARGEST_PRIME = 3_317_044_064_679_887_385_961_813
 
 # 3-dim rational algebra whose only rank-0 pair has the cubic x^3 - x - 1,
 # with no rational root; the two rank-1 pairs fail the closure identity.

@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import evoalg
-from evoalg import ParseError
+from evoalg import FieldSpec, Matrix, ParseError
 from evoalg.cli import AlgebraFile, main
 from support import (
     CUBIC_OVERFLOW_REAL_ROWS,
+    LARGEST_PRIME,
     NEAR_SINGULAR_REAL_ROWS,
     NEAR_TOL_REAL_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
@@ -27,6 +28,7 @@ from support import (
     SMALL_LEAD_REAL_ROWS,
     TINY_CUBIC_REAL_ROWS,
     identity_rows,
+    scalar_elimination,
 )
 
 REALS = {"kind": "R", "tol": 1e-9}
@@ -368,6 +370,19 @@ def test_regular_over_large_prime_answers_quickly(tmp_path):
     proc = run_module("regular", path, timeout=5)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout) == (0, f"regular (det = {p - 2})\n")
+    assert elapsed < 1.0
+
+
+def test_regular_in_dimension_32_over_the_largest_prime_answers_quickly(tmp_path):
+    # The elimination takes O(n^2) operations on ints of O(n * log p) bits.
+    p, rng = LARGEST_PRIME, random.Random(107)
+    rows = [[rng.randrange(p) for _ in range(32)] for _ in range(32)]
+    det = scalar_elimination(Matrix.from_rows(FieldSpec.prime_field(p), rows))[2]
+    path = write_algebra(tmp_path, "bigp32.alg", {"kind": "Fp", "p": p}, 32, rows)
+    start = time.perf_counter()
+    proc = run_module("regular", path, timeout=5)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, f"regular (det = {det.value})\n")
     assert elapsed < 1.0
 
 

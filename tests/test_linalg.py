@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,14 +17,18 @@ from evoalg import (
     NonFiniteValue,
     SingularMatrix,
     determinant,
+    enumerate_codim1,
     inverse,
+    linalg,
     rref,
 )
+from evoalg.field import _PRIME_TEST_LIMIT, _is_prime, _PrimeField, _Rationals, _Reals
 from evoalg.linalg import _det_of, _elimination, _pair_rank
 from support import (
     F2,
     F3,
     F5,
+    LARGEST_PRIME,
     NEAR_SINGULAR_REAL_ROWS,
     NO_CODIM1_OVER_Q_ROWS,
     Q,
@@ -229,6 +234,122 @@ def test_q_determinant_cost_is_polynomial_in_bit_length():
     elapsed = time.process_time() - start
     assert det == scalar_elimination(m)[2]
     assert elapsed < 1.0, f"{elapsed:.2f} s of CPU time"
+
+
+_FP_PRIMES = (2, 3, 7, 65537, 2**31 - 1, 2**61 - 1, LARGEST_PRIME)
+_FP_SQUARE_KINDS = (
+    "dense", "zero column", "duplicate row", "scaled row", "rank n-1", "rank n-2", "rank n-3",
+    "anti-triangular", "all p-1", "full growth", "permuted full growth",
+)
+
+
+def _full_growth(p, n, rng):
+    """L @ U mod p, with L lower unitriangular of ones and U upper
+    triangular with nonzero pivots and p-1 above them: eliminated in row
+    order, every row below a pivot takes the multiplier -1 against a
+    reduced pivot row of p-1, so each of its slots gains (p-1)**2 at every
+    column, n - 1 times in the last row."""
+    u = [[rng.randrange(1, p) if j == i else p - 1 if j > i else 0 for j in range(n)] for i in range(n)]
+    return [[sum(u[k][j] for k in range(i + 1)) % p for j in range(n)] for i in range(n)]
+
+
+def _fp_square(p, n, kind, density, rng):
+    """An n x n grid of residues mod p, each nonzero with probability
+    ``density``, shaped by ``kind``: a zero column, a duplicated or
+    scaled row, rank at most n-1, n-2 or n-3 from combinations of the
+    other rows, the anti-triangular grid whose first column pivots on the
+    last row, every entry p-1, or the grids of ``_full_growth``."""
+    rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    if kind == "zero column" and n:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    elif kind in ("duplicate row", "scaled row") and n > 1:
+        i, j = rng.sample(range(n), 2)
+        s = 1 if kind == "duplicate row" else rng.randrange(1, p)
+        rows[i] = [s * x % p for x in rows[j]]
+    elif kind.startswith("rank") and n > int(kind[-1]):
+        free = n - int(kind[-1])
+        for i in range(free, n):
+            fs = [rng.randrange(p) for _ in range(free)]
+            rows[i] = [sum(f * row[j] for f, row in zip(fs, rows)) % p for j in range(n)]
+        rng.shuffle(rows)
+    elif kind == "anti-triangular":
+        rows = [[rng.randrange(1, p) if i + j >= n - 1 else 0 for j in range(n)] for i in range(n)]
+    elif kind == "all p-1":
+        rows = [[p - 1] * n for _ in range(n)]
+    elif kind.endswith("full growth"):
+        rows = _full_growth(p, n, rng)
+        if kind.startswith("permuted"):
+            rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", _FP_PRIMES, ids=lambda p: f"p{p.bit_length()}bit")
+def test_fp_determinant_and_rank_match_references(p):
+    # The packed-integer elimination of _PrimeField against the
+    # FieldScalar elimination, rref and, up to n = 5, cofactor expansion.
+    # The full-growth grids add (n-1)*(p-1)**2 to the last row's slots,
+    # so a slot width one bit short carries into the next slot.  The
+    # anti-triangular grids swap rows; their determinant has the sign of
+    # reversing n rows, so both swap parities occur.
+    kern, spec = _PrimeField(p), FieldSpec.prime_field(p)
+    rng = random.Random(97)
+    cases = [(n, kind) for n in range(13) for kind in _FP_SQUARE_KINDS]
+    for n, kind in cases + [(40, "dense"), (40, "full growth"), (40, "permuted full growth")]:
+        rows = _fp_square(p, n, kind, rng.choice((0.1, 0.3, 0.5, 0.8, 1.0)), rng)
+        m = Matrix.from_rows(spec, rows, ncols=n)
+        det, rank = kern.det_and_rank(m._rows)
+        assert 0 <= det < p and det == scalar_elimination(m)[2].value, (n, kind, rows)
+        assert rank == rref(m).rank and (det != 0) == (rank == n), (n, kind, rows)
+        if n <= 5:
+            assert det == fraction_det(rows) % p
+        if kind == "anti-triangular":
+            assert det == (-1) ** (n * (n - 1) // 2) * math.prod(rows[i][n - 1 - i] for i in range(n)) % p
+        elif kind.endswith("full growth"):
+            assert rank == n
+        elif kind == "all p-1":
+            assert rank == min(n, 1)
+        elif kind.startswith("rank") and n > int(kind[-1]):
+            assert rank <= n - int(kind[-1])
+    assert not any(_is_prime(k) for k in range(LARGEST_PRIME + 1, _PRIME_TEST_LIMIT))
+
+
+def test_fp_determinant_routes_past_the_forward_elimination(monkeypatch):
+    # Over F_p and Q the determinant, regularity and the codimension-one
+    # search never reach _eliminate nor the kernel's scale or sub_multiple,
+    # the row operations it is made of; over R they do, and over every
+    # field rref and inverse do.
+    calls = []
+
+    def spy(owner, name):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or orig(*args))
+
+    spy(linalg, "_eliminate")
+    for cls in (_Rationals, _PrimeField, _Reals):
+        spy(cls, "scale")
+        spy(cls, "sub_multiple")
+    rng = random.Random(103)
+    for spec in (Q, F7, FieldSpec.prime_field(LARGEST_PRIME), R9):
+        while True:
+            rows = [[_draw(spec, rng) for _ in range(6)] for _ in range(6)]
+            a = EvolutionAlgebra(Matrix.from_rows(spec, rows))
+            if a.is_regular():
+                break
+        calls.clear()
+        a = EvolutionAlgebra(a.structure)
+        a.determinant()
+        determinant(a.structure)
+        enumerate_codim1(a)
+        if spec == R9:
+            assert "_eliminate" in calls and "sub_multiple" in calls
+        else:
+            assert calls == [], spec
+        for op in (rref, inverse):
+            calls.clear()
+            op(a.structure)
+            assert "_eliminate" in calls and "sub_multiple" in calls, (spec, op)
 
 
 def test_inverse_identity():
