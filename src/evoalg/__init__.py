@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedFieldDimension,
 )
 from .field import (
-    APPROX_REALS,
     FieldScalar,
     FieldSpec,
     LowDegreePoly,
@@ -28,19 +27,13 @@ from .field import (
     scalar_parse,
 )
 from .finder import (
-    CASE_DROP_P,
-    CASE_DROP_Q,
-    CASE_ROOT,
-    CASE_ROW,
     CodimOneFound,
     PairDiagnostics,
     SubalgebraReport,
     closure_condition,
     closure_cubic,
-    codim1_for_pair,
     codim1_necessary,
     enumerate_codim1,
-    onedim_residual,
     pair_submatrix,
     solve_onedim,
 )
@@ -51,11 +44,6 @@ from .subspace import Subspace
 __version__ = "0.1.0"
 
 __all__ = [
-    "APPROX_REALS",
-    "CASE_DROP_P",
-    "CASE_DROP_Q",
-    "CASE_ROOT",
-    "CASE_ROW",
     "CodimOneFound",
     "Element",
     "EvoAlgError",
@@ -77,7 +65,6 @@ __all__ = [
     "UnsupportedFieldDimension",
     "closure_condition",
     "closure_cubic",
-    "codim1_for_pair",
     "codim1_necessary",
     "determinant",
     "enumerate_codim1",
@@ -86,7 +73,6 @@ __all__ = [
     "enumerate_subspaces_of",
     "inverse",
     "nonzero_roots",
-    "onedim_residual",
     "pair_submatrix",
     "rref",
     "scalar_parse",

@@ -693,11 +693,12 @@ class LowDegreePoly:
     __slots__ = ("spec", "_cs")
 
     def __init__(self, c3: FieldScalar, c2: FieldScalar, c1: FieldScalar, c0: FieldScalar):
-        spec = c3.spec
-        if any(c.spec != spec for c in (c2, c1, c0)):
-            raise ValueError("polynomial coefficients must share one field")
+        spec = c3.spec if isinstance(c3, FieldScalar) else None  # a non-scalar c3 fails the type check
+        try:
+            self._cs = tuple(_value_of(spec, c) for c in (c3, c2, c1, c0))
+        except ValueError:
+            raise ValueError("polynomial coefficients must share one field") from None
         self.spec = spec
-        self._cs = (c3.value, c2.value, c1.value, c0.value)
 
     @classmethod
     def from_values(cls, spec: FieldSpec, c3, c2, c1, c0) -> "LowDegreePoly":

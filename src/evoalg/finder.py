@@ -46,17 +46,18 @@ coordinate hyperplane, or by (p, q, t) for ``e_p + t*e_q``, and distinct
 keys give subspaces the field's equality tells apart: different free
 columns or different p leave a unit entry facing a zero, and the t of one
 pair are its pairwise unequal roots (``field.nonzero_roots``).  So only a
-coordinate hyperplane recurs: a search verifies it once, hands the same
+coordinate hyperplane recurs: a search builds it once, hands the same
 object back, and drops repeats by identity.
 
-A candidate is verified by ``Subspace.is_subalgebra`` specialised to its
-basis (``_hyperplane_closed``): the rows have disjoint supports, so only
-their squares count, a unit row's square is read off the structure
-matrix, and a square lies in the hyperplane exactly when its free entry
-minus t times its entry at p is zero.  That is O(n) kernel steps per
-candidate with the verdict, the first failing row and the overflow
-message of the general check, which the tests compare against it and which
-``verify``, ``natural-basis`` and the oracle still use.
+The derivation decides closure, and no candidate is checked again at run
+time.  Products of distinct basis vectors vanish, so
+H = span({e_i : i != p, q} + {v}) is closed exactly when every e_i^2
+(i outside the pair) lies in H, which is the rank test, and v^2 lies in
+H, which is the closure identity or the cubic at t.  The tests check the
+findings against ``Subspace.is_subalgebra``, the F_p brute force and,
+over R, the cubic of the exact binary coefficients.  Over R ``verify``
+re-squares v in floats, a second rounding, and can still call a span
+the search found at a near-tol input not closed.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ import operator
 from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
-from .errors import NonFiniteValue, NotASubalgebra, NotRegular, UnsupportedFieldDimension
-from .field import APPROX_REALS, PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
+from .errors import NonFiniteValue, NotRegular, UnsupportedFieldDimension
+from .field import PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
 from .linalg import Matrix, _pair_rank, _rank2_columns
 from .oracle import enumerate_subspaces_of
 from .subspace import Subspace
@@ -254,9 +255,10 @@ def closure_condition(
     nonzero multiple of the pair gives the same verdict.
     """
     _check_pair(a, p, q)
-    if alpha.is_zero() and beta.is_zero():
+    alpha, beta = _value_of(a.spec, alpha), _value_of(a.spec, beta)
+    if alpha == 0 and beta == 0:
         raise ValueError("coefficient pair (0, 0) spans nothing")
-    return _closure_verdict(a, p, q, _value_of(a.spec, alpha), _value_of(a.spec, beta))[2]
+    return _closure_verdict(a, p, q, alpha, beta)[2]
 
 
 def closure_cubic(a: EvolutionAlgebra, p: int, q: int) -> LowDegreePoly:
@@ -275,75 +277,44 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     return all(_closure_verdict(a, p, q, alpha, beta)[2] for alpha, beta in _pair_rows(a, p, q))
 
 
-def _hyperplane_closed(a: EvolutionAlgebra, rows: tuple, pivots: tuple, free: int, lead: int, t) -> bool:
-    """``Subspace.is_subalgebra`` on the closed-form basis ``rows`` of a
-    candidate: unit rows, and where ``t`` is nonzero the row of
-    v = e_lead + t*e_free.  The rows have disjoint supports, so only their
-    squares are formed, rows in pivot order, stopping at the first that
-    fails.  A unit row e_c squares to row c of the structure matrix, which
-    ``_product`` would return but for the sign of a zero; v squares by
-    ``_product``.  A square w lies in the hyperplane exactly when its free
-    entry reduces to zero, which ``in_span`` computes as
-    ``w[free] - w[lead]*t``, by ``sub_mul`` where both factors are nonzero.
-    """
-    kern, squares = a.spec._kernel, a.structure._rows
-    for c, row in zip(pivots, rows):
-        w = a._product(row, row) if row[free] else squares[c]
-        residual = w[free] if t == 0 or w[lead] == 0 else kern.sub_mul(w[free], w[lead], t)
-        if residual:
-            return False
-    return True
-
-
-def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, verified: dict) -> Subspace:
+def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, hyperplanes: dict) -> Subspace:
     """span({e_i : i != p,q} + {v}), v = x*e_p + y*e_q (raw), in canonical
     form: the unit rows of every column but one free column, with v scaled
     as ``linalg._eliminate`` scales it, to e_p + t*e_q; where x or t is
-    zero, the coordinate hyperplane without e_p or e_q.  ``verified`` maps
-    the free column of each coordinate hyperplane verified in this search
-    to its subspace; any other candidate comes up once per search and is
-    verified on the spot, by ``_hyperplane_closed``.  The theory
-    guarantees closure, so over exact fields a failure is a bug.  Over R
-    rounded verdicts are not proved to agree, and entries within a factor
-    of ten of ``tol`` can make them differ, so a failure is refused with
-    NotASubalgebra, and an overflow while scaling v or verifying is a
+    zero, the coordinate hyperplane without e_p or e_q.  The pair's rank
+    and its closure identity or cubic have decided that the span is
+    closed (see the module notes), so the basis is not checked again.
+    ``hyperplanes`` maps the free column of each coordinate hyperplane
+    built in this search to its subspace, which is handed back when
+    another pair reaches it.  An overflow while scaling v is a
     NonFiniteValue that names the pair and the candidate.
     """
     kern, n = a.spec._kernel, a.dim
     try:
         t = kern.zero if x == 0 else y if x == 1 else kern.mul(y, kern.inv(x))
-        free = p - 1 if x == 0 else q - 1
-        if t == 0 and free in verified:
-            return verified[free]
-        pivots = tuple(c for c in range(n) if c != free)
-        lead = (p - 1, free) if t != 0 else None  # where the row of v holds t
-        rows = tuple(
-            tuple(kern.one if j == c else t if (c, j) == lead else kern.zero for j in range(n))
-            for c in pivots
-        )
-        sub = Subspace._canonical(a, rows, pivots)
-        closed = _hyperplane_closed(a, rows, pivots, free, p - 1, t)
     except NonFiniteValue as exc:
         v = [kern.zero] * n
         v[p - 1], v[q - 1] = x, y
         raise NonFiniteValue(
-            f"candidate for pair ({p},{q}) with v = {Element._of(a, v).render()}"
-            f" overflows in verification: {exc}"
+            f"candidate for pair ({p},{q}) with v = {Element._of(a, v).render()} overflows: {exc}"
         ) from exc
-    if not closed:
-        if a.spec.kind == APPROX_REALS:
-            raise NotASubalgebra(
-                f"candidate for pair ({p},{q}) is not closed at tolerance {a.spec.tol:g}:"
-                " rounding makes the verdict tolerance-sensitive"
-            )
-        raise AssertionError(f"constructed candidate for pair ({p},{q}) failed verification")
+    free = p - 1 if x == 0 else q - 1
+    if t == 0 and free in hyperplanes:
+        return hyperplanes[free]
+    pivots = tuple(c for c in range(n) if c != free)
+    lead = (p - 1, free) if t != 0 else None  # where the row of v holds t
+    rows = tuple(
+        tuple(kern.one if j == c else t if (c, j) == lead else kern.zero for j in range(n))
+        for c in pivots
+    )
+    sub = Subspace._canonical(a, rows, pivots)
     if t == 0:
-        verified[free] = sub
+        hyperplanes[free] = sub
     return sub
 
 
 def _rank0_search(
-    a: EvolutionAlgebra, p: int, q: int, verified: dict
+    a: EvolutionAlgebra, p: int, q: int, hyperplanes: dict
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     """Findings and diagnostics for a pair whose submatrix vanishes (also
     the full dimension-two answer, where the submatrix has no rows), from
@@ -353,15 +324,15 @@ def _rank0_search(
     roots = tuple(nonzero_roots(cubic))
     found = []
     for lam in roots:
-        sub = _codim1_subspace(a, p, q, kern.one, lam.value, verified)
+        sub = _codim1_subspace(a, p, q, kern.one, lam.value, hyperplanes)
         found.append(CodimOneFound(sub, p, q, CASE_ROOT, (a.spec.one(), lam), lam))
     _, apq, aqp, _ = _pair_constants(a, p, q)
     drop_q, drop_p = apq == 0, aqp == 0
     if drop_q:
-        sub = _codim1_subspace(a, p, q, kern.one, kern.zero, verified)
+        sub = _codim1_subspace(a, p, q, kern.one, kern.zero, hyperplanes)
         found.append(CodimOneFound(sub, p, q, CASE_DROP_Q))
     if drop_p:
-        sub = _codim1_subspace(a, p, q, kern.zero, kern.one, verified)
+        sub = _codim1_subspace(a, p, q, kern.zero, kern.one, hyperplanes)
         found.append(CodimOneFound(sub, p, q, CASE_DROP_P))
     flagged = tuple(r for r in roots if kern.is_flagged_root(cubic._cs, r.value))
     return found, PairDiagnostics(
@@ -370,7 +341,7 @@ def _rank0_search(
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, verified: dict, order: list[int]
+    a: EvolutionAlgebra, p: int, q: int, hyperplanes: dict, order: list[int]
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     """Findings and diagnostics for the pair p < q, where ``order`` is
     ``_column_order(a, p)``."""
@@ -386,12 +357,12 @@ def _pair_search(
         if holds:
             inv = kern.inv(y if x == 0 else x)
             vec = (kern.mul(x, inv), kern.mul(y, inv))
-            sub = _codim1_subspace(a, p, q, *vec, verified)
+            sub = _codim1_subspace(a, p, q, *vec, hyperplanes)
             found.append(CodimOneFound(sub, p, q, CASE_ROW, tuple(map(wrap, vec))))
         return found, PairDiagnostics(
             p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-    return _rank0_search(a, p, q, verified)
+    return _rank0_search(a, p, q, hyperplanes)
 
 
 def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
@@ -409,9 +380,9 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
 
     Every pair p < q is scanned; in dimension two the one pair has an
     empty submatrix and the rank-0 formulas give the one-dimensional
-    answer.  Each distinct candidate is verified to be closed once,
-    whatever the field, and the first finding of each subspace object, in
-    scan order, is kept (see the module notes).
+    answer.  Each coordinate hyperplane is built once per search, and the
+    first finding of each subspace object, in scan order, is kept (see the
+    module notes).
     """
     if not a.is_regular():
         raise NotRegular("codimension-one search needs a regular algebra")
@@ -420,7 +391,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise UnsupportedFieldDimension(f"codimension-one search needs dimension >= 2, got {n}")
     first: dict[int, CodimOneFound] = {}
     diags: list[PairDiagnostics] = []
-    verified: dict = {}
+    hyperplanes: dict = {}
     rows, kern = a.structure._rows, a.spec._kernel
     for p in range(1, n):
         order = _column_order(a, p)
@@ -429,7 +400,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
             if q - 1 in rank2:
                 diags.append(PairDiagnostics(p, q, 2))
                 continue
-            found, diag = _pair_search(a, p, q, verified, order)
+            found, diag = _pair_search(a, p, q, hyperplanes, order)
             for f in found:
                 first.setdefault(id(f.subspace), f)
             diags.append(diag)

@@ -18,7 +18,9 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-from evoalg import APPROX_REALS, EvolutionAlgebra, FieldScalar, FieldSpec, Matrix, codim1_for_pair, finder
+from evoalg import EvolutionAlgebra, FieldScalar, FieldSpec, Matrix, finder
+from evoalg.field import APPROX_REALS
+from evoalg.finder import codim1_for_pair
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -58,10 +60,9 @@ SCALED_1E6_ROWS = [
 ]
 
 
-# Regular real algebras (tol 1e-9) with entries near tol: the codimension-one
-# search accepts a candidate for pair (1,2), respectively (3,4), with its
-# absolute-tolerance rank and root tests that the relative closure test
-# then rejects.
+# Regular real algebras (tol 1e-9) with entries near tol: read as nonzeros,
+# as the search reads them, they give the pair ranks of the exact search on
+# the same binary values, and no codimension-one subalgebra.
 NEAR_TOL_REAL_ROWS = [
     [8.930497214428688e-09, 2.0368388527650216, 3.337569493858486],
     [0.0, 0.0, 1.6816636314661713],
@@ -94,8 +95,9 @@ RELATIVE_RANK1_REAL_ROWS_4 = [
 TINY_CUBIC_REAL_ROWS = [[0, -2e-9], [1, 0]]
 
 # Regular real algebra whose one pair has the cubic
-# 1e-8*x^3 - 1e300*x^2 + x: its root 1e308 is finite, but the candidate
-# subspace it spans overflows when its closure is verified.
+# 1e-8*x^3 - 1e300*x^2 + x: its root 1e308 is the correctly rounded root of
+# the exact cubic, so span{e1 + 1e+308*e2} is found, though squaring
+# e1 + 1e308*e2 in floats, as ``Subspace.is_subalgebra`` does, overflows.
 CUBIC_OVERFLOW_REAL_ROWS = [[1, 0], [1e-8, 1e300]]
 
 # Regular real algebra whose one pair has the cubic
@@ -583,7 +585,7 @@ def reference_pair_rank(rows, kern):
     return 1
 
 
-def reference_pair_search(a, p, q, verified, order):
+def reference_pair_search(a, p, q, hyperplanes, order):
     """``finder._pair_search`` on a copy of the pair's rows ranked by
     ``reference_pair_rank``: the search of one pair p < q before it read
     ranks in place.  ``order`` is accepted and ignored."""
@@ -599,12 +601,12 @@ def reference_pair_search(a, p, q, verified, order):
         if holds:
             inv = kern.inv(y if x == 0 else x)
             vec = (kern.mul(x, inv), kern.mul(y, inv))
-            sub = finder._codim1_subspace(a, p, q, *vec, verified)
+            sub = finder._codim1_subspace(a, p, q, *vec, hyperplanes)
             found.append(finder.CodimOneFound(sub, p, q, finder.CASE_ROW, tuple(map(wrap, vec))))
         return found, finder.PairDiagnostics(
             p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-    return finder._rank0_search(a, p, q, verified)
+    return finder._rank0_search(a, p, q, hyperplanes)
 
 
 def reference_enumerate_codim1(a):

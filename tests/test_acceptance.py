@@ -14,19 +14,17 @@ import random
 import time
 
 from evoalg import (
-    CASE_ROOT,
     Subspace,
-    codim1_for_pair,
     codim1_necessary,
     closure_cubic,
     enumerate_codim1,
     enumerate_subalgebras,
     nonzero_roots,
-    onedim_residual,
     pair_submatrix,
     solve_onedim,
 )
 from evoalg.cli import main as cli_main
+from evoalg.finder import CASE_ROOT, codim1_for_pair, onedim_residual
 from support import (
     F2,
     F3,

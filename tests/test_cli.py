@@ -259,17 +259,19 @@ def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: real root search overflows") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["onedim", "codim1"])
-def test_real_root_whose_subspace_overflows_is_one_line_error(tmp_path, capsys, command):
-    # The cubic's root 1e308 is found; verifying the line it spans overflows,
-    # and the error names the pair and the candidate.
+@pytest.mark.parametrize(
+    "command, head",
+    [("onedim", "2 one-dimensional subalgebras"), ("codim1", "2 codimension-one subalgebras")],
+    ids=["onedim", "codim1"],
+)
+def test_real_root_whose_line_overflows_when_squared_is_answered(tmp_path, capsys, command, head):
+    # The cubic's root 1e308 is correctly rounded, so its line is an answer;
+    # only verify, which squares e1 + 1e308*e2 in floats, overflows.
     path = write_algebra(tmp_path, "ovf.alg", REALS, 2, CUBIC_OVERFLOW_REAL_ROWS)
     code, out, err = run(capsys, command, path)
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: candidate for pair (1,2) with v = e1 + 1e+308*e2 overflows in verification:"
-        " real scalar must be finite, got inf\n"
-    )
+    assert (code, err) == (0, "")
+    assert [line.split("  [")[0] for line in out.splitlines()] == [head, "  span{e1}", "  span{e1 + 1e+308*e2}"]
+    assert run(capsys, "verify", path, "--span", "1,1e308") == (1, "", "error: real scalar must be finite, got inf\n")
 
 
 @pytest.mark.parametrize(
@@ -301,16 +303,19 @@ def test_real_cubic_with_zero_linear_term_is_answered(tmp_path, capsys, command,
     assert lines[1].startswith("  span{e1 - 0.0012599210498948732*e2}")
 
 
-def test_codim1_real_candidate_failing_closure_is_one_line_error(tmp_path, capsys, monkeypatch):
-    # Force the search's closure re-check to fail on an input that passes it.
-    monkeypatch.setattr(evoalg.finder, "_hyperplane_closed", lambda *args: False)
-    path = write_algebra(tmp_path, "tiny.alg", REALS, 2, TINY_CUBIC_REAL_ROWS)
+def test_codim1_answers_roots_that_a_float_recheck_would_refuse(tmp_path, capsys):
+    # The three roots are the correctly rounded roots of the exact cubic;
+    # squaring e1 + t*e2 in floats rounds once more and calls a line open.
+    rows = [[-1.0, -1.3799238948488982e-12], [1.0, 9.28075082094008e-13]]
+    path = write_algebra(tmp_path, "recheck.alg", {"kind": "R", "tol": 1e-12}, 2, rows)
     code, out, err = run(capsys, "codim1", path)
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: candidate for pair (1,2) is not closed at tolerance 1e-09:"
-        " rounding makes the verdict tolerance-sensitive\n"
-    )
+    assert (code, err) == (0, "")
+    assert [line.split("  [")[0] for line in out.splitlines()] == [
+        "3 codimension-one subalgebras",
+        "  span{e1 - 1.0000000000002258*e2}",
+        "  span{e1 + 1.3799238948488982e-12*e2}",
+        "  span{e1 + 0.99999999999977407*e2}",
+    ]
 
 
 def test_codim1_near_tol_real_algebra_is_answered(tmp_path, capsys):

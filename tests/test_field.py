@@ -153,6 +153,16 @@ def test_mixed_specs_rejected():
         Q.one() + F5.one()
 
 
+def test_polynomial_coefficients_are_scalars_of_one_field():
+    one = Q.one()
+    with pytest.raises(TypeError, match="expected a FieldScalar, got int"):
+        LowDegreePoly(1, one, one, one)
+    with pytest.raises(TypeError, match="expected a FieldScalar, got int"):
+        LowDegreePoly(one, one, one, 1)
+    with pytest.raises(ValueError, match="polynomial coefficients must share one field"):
+        LowDegreePoly(one, F5.one(), one, one)
+
+
 def test_real_equality_uses_tolerance():
     assert FieldScalar(R9, 1.0) == FieldScalar(R9, 1.0 + 1e-12)
     assert FieldScalar(R9, 1.0) != FieldScalar(R9, 1.0 + 1e-6)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,32 +11,33 @@ from fractions import Fraction
 import pytest
 
 from evoalg import (
-    CASE_DROP_P,
-    CASE_DROP_Q,
-    CASE_ROOT,
-    CASE_ROW,
-    EvoAlgError,
+    FieldScalar,
     FieldSpec,
     Matrix,
     NonFiniteValue,
-    NotASubalgebra,
     NotRegular,
     Subspace,
     TooLarge,
     UnsupportedFieldDimension,
     closure_condition,
     closure_cubic,
-    codim1_for_pair,
     codim1_necessary,
     enumerate_codim1,
     enumerate_subalgebras,
     enumerate_subspaces_of,
-    onedim_residual,
     pair_submatrix,
     solve_onedim,
 )
 from evoalg import finder
-from evoalg.finder import _codim1_subspace
+from evoalg.finder import (
+    CASE_DROP_P,
+    CASE_DROP_Q,
+    CASE_ROOT,
+    CASE_ROW,
+    _codim1_subspace,
+    codim1_for_pair,
+    onedim_residual,
+)
 from support import (
     F2,
     F3,
@@ -59,6 +61,7 @@ from support import (
     NEAR_EQUAL_ROOTS_REAL_ROWS,
     all_regular_structures,
     bases_close,
+    changes_sign_around,
     elem,
     identity_rows,
     make_algebra,
@@ -260,6 +263,16 @@ def test_closure_condition_zero_pair():
         closure_condition(a, 1, 2, Q.zero(), Q.zero())
 
 
+def test_closure_condition_refuses_a_non_scalar_or_another_field():
+    a = make_algebra(Q, identity_rows(3))
+    with pytest.raises(TypeError, match="expected a FieldScalar, got int"):
+        closure_condition(a, 1, 2, 1, 0)
+    with pytest.raises(TypeError, match="expected a FieldScalar, got int"):
+        closure_condition(a, 1, 2, Q.one(), 0)
+    with pytest.raises(ValueError, match="scalar over F_5 where Q is expected"):
+        closure_condition(a, 1, 2, F5.one(), Q.zero())
+
+
 def test_closure_condition_scale_invariant():
     rng = random.Random(61)
     for _ in range(40):
@@ -353,18 +366,19 @@ def test_enumerate_codim1_identity_dim3_f2():
     assert subspace_keys(report.subspaces()) == subspace_keys(oracle_planes)
 
 
-def test_each_distinct_codim1_candidate_is_verified_once(monkeypatch):
+def test_each_coordinate_hyperplane_is_built_once_per_search(monkeypatch):
     # Every pair of the 4-dim identity algebra has rank 0: one root line
     # and both coordinate hyperplanes, 18 candidates in all, of which the
-    # 12 hyperplanes are only 4 distinct subspaces.
-    calls = []
-    verify = finder._hyperplane_closed
-    spy = lambda a, rows, *rest: calls.append(rows) or verify(a, rows, *rest)
-    monkeypatch.setattr(finder, "_hyperplane_closed", spy)
+    # 12 hyperplanes are only 4 distinct subspaces.  Each subspace is built
+    # once, and a repeat is the same object.
+    built, handed = [], []
+    canonical, candidate = Subspace._canonical, finder._codim1_subspace
+    monkeypatch.setattr(Subspace, "_canonical", lambda *args: built.append(canonical(*args)) or built[-1])
+    monkeypatch.setattr(finder, "_codim1_subspace", lambda *args: handed.append(candidate(*args)) or handed[-1])
     report = enumerate_codim1(make_algebra(Q, identity_rows(4)))
-    assert sum(len(d.roots) + d.drop_p + d.drop_q for d in report.diagnostics) == 18
-    assert len(calls) == report.count == 10
-    assert len({id(rows) for rows in calls}) == 10
+    assert sum(len(d.roots) + d.drop_p + d.drop_q for d in report.diagnostics) == len(handed) == 18
+    assert len(built) == report.count == 10
+    assert {id(sub) for sub in handed} == {id(sub) for sub in built}
 
 
 def _unsigned(rows):
@@ -404,6 +418,16 @@ def test_closed_form_codim1_basis_is_the_rref_of_its_spanning_rows(spec):
         assert kern.mul(49.0, kern.inv(49.0)) != 1.0  # the scaled row keeps a pivot below one
 
 
+def test_candidate_whose_scaled_v_overflows_is_one_line_error():
+    # v = 0.5*e1 + 1e308*e2 scales to e1 + 2e308*e2, beyond the floats.
+    a = make_algebra(R9, [[0, 0], [0, 0]])
+    with pytest.raises(NonFiniteValue) as exc:
+        _codim1_subspace(a, 1, 2, 0.5, 1e308, {})
+    assert str(exc.value) == (
+        "candidate for pair (1,2) with v = 0.5*e1 + 1e+308*e2 overflows: real scalar must be finite, got inf"
+    )
+
+
 def test_enumerate_codim1_dim2_delegates_to_lines():
     a = make_algebra(Q, SWAP_2D_ROWS)
     report = enumerate_codim1(a)
@@ -434,19 +458,14 @@ def test_enumerate_codim1_sound_everywhere():
         a = make_algebra(Q, random_regular_rational(3, rng))
         for f in enumerate_codim1(a).found:
             assert f.subspace.is_subalgebra()
-    # The search verifies its candidates without is_subalgebra: every
-    # finding must still pass the general check, in dimensions up to six.
+    # The search checks no candidate at run time: every finding must pass
+    # the oracles of _check_findings, in dimensions up to six.
     for spec in (F2, FieldSpec.prime_field(7), R9, R12):
         found = 0
         for _ in range(25):
-            a = _sparse_regular_algebra(spec, rng.randint(2, 6), rng)
-            try:
-                report = enumerate_codim1(a)
-            except NotASubalgebra:  # a refusal over R returns no subspace
-                continue
-            for f in report.found:
-                assert f.subspace.is_subalgebra()
-                found += 1
+            report = enumerate_codim1(_sparse_regular_algebra(spec, rng.randint(2, 6), rng))
+            _check_findings(report)
+            found += report.count
         assert found >= 30, spec
 
 
@@ -767,6 +786,73 @@ def test_fp_searches_are_equivariant_under_relabelling():
             _assert_relabelled(search(b), want, (rows, perm, search.__name__))
 
 
+def _changed_basis(a, perm, lam):
+    """``a`` in the natural basis e'_perm[i] = lam[i]*e_i (0-based, ``lam``
+    nonzero scalars): a'[perm[i]][perm[j]] = lam[i]^2 * a[i][j] / lam[j]."""
+    rows, n = a.structure.rows(), a.dim
+    out = [[None] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        out[perm[i]][perm[j]] = lam[i] * lam[i] * rows[i][j] / lam[j]
+    return make_algebra(a.spec, out)
+
+
+def _in_changed_basis(sub, b, perm, lam):
+    """The subspace ``sub`` in the algebra ``b`` of ``_changed_basis``: its
+    coordinate c_j moves to perm[j] as c_j / lam[j]."""
+    rows = []
+    for row in sub.basis.rows():
+        moved = [None] * b.dim
+        for j, x in enumerate(row):
+            moved[perm[j]] = x / lam[j]
+        rows.append(moved)
+    return Subspace(b, Matrix(b.spec, rows, ncols=b.dim))
+
+
+_LAMBDAS_Q = [Fraction(x, y) for x in (1, -1, 2, -2, 3, 5, 7) for y in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F3, F5, FieldSpec.prime_field(7)], ids=["Q", "F2", "F3", "F5", "F7"])
+def test_natural_basis_change(spec):
+    # A regular algebra's natural basis is unique up to order and nonzero
+    # scalings, so every answer must move with a change of it: regularity
+    # stays, the determinant gains the factor prod(lam), and each subspace
+    # the searches find maps through c_j -> c_j / lam_j (and each pair rank
+    # to the renamed pair's).
+    rng, checked, found = random.Random(1601), 0, 0
+    exact = spec.kind == "Q"
+    while checked < (150 if exact else 40):
+        n = rng.randint(2, 7 if exact else 4)
+        if rng.random() < 0.5:  # often singular
+            rows = [[_entry(spec, rng) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+            a = make_algebra(spec, rows)
+        else:  # regular, with rank-0 and rank-1 pairs that have findings
+            a = _sparse_regular_algebra(spec, n, rng)
+        perm = rng.sample(range(n), n)
+        if exact:
+            lam = [FieldScalar(spec, rng.choice(_LAMBDAS_Q)) for _ in range(n)]
+        else:
+            lam = [spec.from_int(rng.randrange(1, spec.p)) for _ in range(n)]
+        b, context = _changed_basis(a, perm, lam), (a.structure, perm, lam)
+        assert b.is_regular() == a.is_regular(), context
+        assert b.determinant() == math.prod(lam, start=spec.one()) * a.determinant(), context
+        if not a.is_regular():
+            continue
+        checked += 1
+        report, changed = enumerate_codim1(a), enumerate_codim1(b)
+        ranks = {tuple(sorted((perm[d.p - 1] + 1, perm[d.q - 1] + 1))): d.rank for d in report.diagnostics}
+        assert {(d.p, d.q): d.rank for d in changed.diagnostics} == ranks, context
+        answers = [(report.subspaces(), changed.subspaces())]
+        if not exact or n == 2:
+            answers.append((solve_onedim(a), solve_onedim(b)))
+        if not exact:
+            answers.append((enumerate_subalgebras(a), enumerate_subalgebras(b)))
+        for before, after in answers:
+            want = [_in_changed_basis(sub, b, perm, lam) for sub in before]
+            assert subspace_keys(after) == subspace_keys(want), context
+            found += len(want)
+    assert found >= 100
+
+
 def test_real_cubic_with_zero_linear_term_has_its_root():
     a = make_algebra(R9, TINY_CUBIC_REAL_ROWS)
     (line,) = solve_onedim(a)
@@ -777,7 +863,7 @@ def test_real_cubic_with_zero_linear_term_has_its_root():
 
 def test_real_cubic_with_a_small_leading_coefficient_has_three_lines():
     # The cubic 1e-8*x^3 + x^2 - 3x + 2 has three real roots; the line of
-    # the one near 2 is closed, re-verified as the search builds it.
+    # the one near 2 is closed, as is_subalgebra confirms.
     a = make_algebra(R9, SMALL_LEAD_REAL_ROWS)
     assert [line.render() for line in solve_onedim(a)] == [
         "span{e1 - 100000002.99999993*e2}",
@@ -855,7 +941,7 @@ def _outcome(search, a):
     """What ``search(a)`` returns, or the type and message of what it raises."""
     try:
         return search(a)
-    except (NotASubalgebra, NonFiniteValue) as exc:
+    except NonFiniteValue as exc:
         return type(exc), str(exc)
 
 
@@ -887,55 +973,35 @@ def test_real_lines_merge_by_the_fields_equality():
     assert all(line.is_subalgebra() for line in solve_onedim(b))
 
 
-# -- the search's closure check ------------------------------------------
+# -- the derivation decides closure; the tests check it ---------------
 
 
-def _wild_entry(spec, rng):
-    """A structure constant: often a zero (over R sometimes ``-0.0``), over
-    R sometimes near 1e300 or 1e-200."""
-    r = rng.random()
-    if r < 0.4:
-        return -0.0 if spec.kind == "R" and r < 0.1 else 0
-    if spec.kind == "R" and r < 0.55:
-        return rng.choice((-1, 1)) * rng.choice((1e300, 1e-200)) * rng.uniform(1, 9)
-    return _entry(spec, rng)
+def _check_findings(report):
+    """Check every finding of ``report`` against an oracle the search does
+    not run: over R a root's line must come from a root of the pair's cubic
+    read with the exact values of its float coefficients (zero at t, or a
+    sign change between the floats next to t); every other finding must
+    pass ``Subspace.is_subalgebra``.  Returns how many of those real root
+    lines the float ``is_subalgebra``, which squares v once more, calls not
+    closed."""
+    cubics = {(d.p, d.q): d.cubic for d in report.diagnostics}
+    rounded_out = 0
+    for f in report.found:
+        if f.case == CASE_ROOT and f.subspace.algebra.spec.kind == "R":
+            assert changes_sign_around(cubics[f.p, f.q]._cs, f.root.value), f
+            rounded_out += not f.subspace.is_subalgebra()
+        else:
+            assert f.subspace.is_subalgebra(), f
+    return rounded_out
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [Q, F2, F3, FieldSpec.prime_field(7), R9, R12],
-    ids=["Q", "F2", "F3", "F7", "R9", "R12"],
-)
-def test_hyperplane_closure_matches_is_subalgebra(spec):
-    # Candidate-shaped bases, unit rows and e_p + t*e_q, on random
-    # structure matrices: t is a root of the pair's cubic or an arbitrary
-    # value (over R sometimes large enough to overflow), or zero for a
-    # coordinate hyperplane.
-    rng, kern = random.Random(2001), spec._kernel
-    outcomes = []
-    for _ in range(400):
-        n = rng.randint(2, 6)
-        a = make_algebra(spec, [[_wild_entry(spec, rng) for _ in range(n)] for _ in range(n)])
-        p, q = sorted(rng.sample(range(n), 2))
-        free, t, r = q, _entry(spec, rng), rng.random()
-        if r < 0.25:
-            free, t = rng.choice((p, q)), kern.zero
-        elif r < 0.6:
-            try:
-                roots = [root.value for root in closure_cubic(a, p + 1, q + 1).nonzero_roots()]
-            except EvoAlgError:
-                roots = []
-            t = rng.choice(roots) if roots else t
-        elif r < 0.75 and spec.kind == "R":
-            t = rng.choice((-1, 1)) * 10 ** rng.uniform(3, 160)
-        pivots = tuple(c for c in range(n) if c != free)
-        rows = tuple(
-            tuple(kern.one if j == c else t if (c, j) == (p, free) else kern.zero for j in range(n))
-            for c in pivots
-        )
-        want = _outcome(Subspace.is_subalgebra, Subspace._canonical(a, rows, pivots))
-        assert _outcome(lambda a: finder._hyperplane_closed(a, rows, pivots, free, p, t), a) == want
-        outcomes.append(want)
-    assert outcomes.count(True) >= 15 and outcomes.count(False) >= 40
-    if spec.kind == "R":
-        assert sum(isinstance(o, tuple) for o in outcomes) >= 10  # overflows
+@pytest.mark.parametrize("spec", [R9, R12], ids=["R9", "R12"])
+def test_near_tol_real_findings_hold_exactly(spec):
+    # Sparse algebras with entries near tol, where a float re-check of a
+    # root's line and the exact cubic can disagree: every finding passes
+    # _check_findings, and the sweep must keep meeting root lines that only
+    # the float re-check calls not closed.
+    rng, rounded_out = random.Random(7), 0
+    for _ in range(3000):
+        rounded_out += _check_findings(enumerate_codim1(_sparse_regular_algebra(spec, rng.randint(2, 6), rng)))
+    assert rounded_out >= 200

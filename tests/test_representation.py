@@ -21,12 +21,12 @@ from evoalg import (
     enumerate_codim1,
     enumerate_subalgebras,
     inverse,
-    onedim_residual,
     rref,
     scalar_parse,
     solve_onedim,
 )
 from evoalg.cli import main
+from evoalg.finder import onedim_residual
 from support import (
     F5,
     FLAGGED_ROOT_REALS,
