@@ -104,7 +104,8 @@ class _Rationals:
     int arithmetic.  Row operations, ``mul`` and ``inv`` normalise their
     results with ``_q``; ``product``, ``det_and_rank`` and
     ``nonzero_roots`` leave that to ``FieldScalar``, through which alone
-    their results reach callers, and ``minors`` are only tested for zero."""
+    their results reach callers, and ``residual_zeros`` only compares
+    products."""
 
     zero, one = 0, 1
 
@@ -157,12 +158,16 @@ class _Rationals:
         """``a - f * b``: one entry of ``sub_multiple``."""
         return self.canonical(a - f * b)
 
-    def minors(self, prow, row, c) -> list:
-        """The 2x2 minors of the rows ``prow`` and ``row`` against column
-        ``c``: entry j is ``prow[c]*row[j] - row[c]*prow[j]``, with no
+    def residual_zeros(self, prow, c, qs):
+        """The residual test of ``linalg._pair_ranks`` for the pivot row
+        ``prow`` on column ``c`` and the columns ``qs``: a function of a
+        row, the columns still undecided and the row's index k, which keeps
+        column k and the columns q whose residual ``y - x * (b / a0)``
+        against ``prow`` is zero.  Over an exact field that residual is
+        zero exactly where the 2x2 minor ``a0*y - x*b`` is, which needs no
         division, so integral entries stay ints."""
-        a0, x = prow[c], row[c]
-        return [a0 * y - x * b for y, b in zip(row, prow)]
+        a0 = prow[c]
+        return lambda row, left, k: [q for q in left if q == k or a0 * row[q] == row[c] * prow[q]]
 
     def dot(self, xs, ys):
         """``x1*y1 + x2*y2 + ...``, summed left to right."""
@@ -171,14 +176,9 @@ class _Rationals:
             acc = self.add_multiple(acc, x, (y,))
         return acc[0]
 
-    def pick_pivot(self, rows, start: int, col: int) -> int:
-        """Pivot row for ``col`` among ``rows[start:]``, or -1: the first
-        nonzero entry."""
-        return next((i for i in range(start, len(rows)) if rows[i][col] != 0), -1)
-
     def pivot_order(self, column) -> list[int]:
-        """The indices of the nonzero entries of ``column`` in the order
-        ``pick_pivot`` prefers them: index order."""
+        """The indices of the nonzero entries of ``column`` in the order in
+        which an elimination prefers them as pivots: index order."""
         return [i for i, x in enumerate(column) if x != 0]
 
     def in_span(self, v, rows, pivots) -> bool:
@@ -273,9 +273,9 @@ class _PrimeField(_Rationals):
         p = self.p
         return [(a + f * b) % p if b else a for a, b in zip(row, prow)]  # a is a reduced residue
 
-    def minors(self, prow, row, c) -> list:
-        p, a0, x = self.p, prow[c], row[c]
-        return [(a0 * y - x * b) % p for y, b in zip(row, prow)]
+    def residual_zeros(self, prow, c, qs):
+        p, a0 = self.p, prow[c]
+        return lambda row, left, k: [q for q in left if q == k or not (a0 * row[q] - row[c] * prow[q]) % p]
 
     def det_and_rank(self, rows) -> tuple[int, int]:
         """Determinant and rank of the square grid ``rows`` of residues, by
@@ -328,7 +328,6 @@ class _Reals(_Rationals):
 
     zero, one = 0.0, 1.0
     det_and_rank = None  # linalg's forward elimination
-    minors = None  # a pair's rank needs the cancellation rule of sub_mul
 
     def __init__(self, tol: float):
         # With tol < 1/2 a sum that cancels is below 8*tol times its first
@@ -400,21 +399,24 @@ class _Reals(_Rationals):
             _finite(a - _finite(f * b))
         return 0.0 if abs(x) < s * abs(a) and abs(x) < t * abs(a) + t * abs(f * b) else x
 
-    def pick_pivot(self, rows, start: int, col: int) -> int:
-        """Pivot row for ``col`` among ``rows[start:]``, or -1: the nonzero
-        entry of largest magnitude, the first among equals."""
-        best, best_mag = -1, 0.0
-        for i in range(start, len(rows)):
-            mag = abs(rows[i][col])
-            if mag > best_mag:
-                best, best_mag = i, mag
-        return best
+    def residual_zeros(self, prow, c, qs):
+        """The residual test of ``_Rationals.residual_zeros`` with the
+        cancellation rule of ``sub_mul``: the residual is
+        ``sub_mul(y, x, s_q)``, the column-q entry of the row operation
+        ``linalg._eliminate`` performs, so it cancels exactly where
+        ``rref``'s does (with x = 0 it is zero exactly where y is).  Each
+        ``s_q = b_q * (1 / a0)`` is taken up front, so an overflow there
+        raises before any row is tested."""
+        inv, sub_mul = self.inv(prow[c]), self.sub_mul
+        s = {q: self.mul(prow[q], inv) for q in qs}
+        return lambda row, left, k: [q for q in left if q == k or sub_mul(row[q], row[c], s[q]) == 0]
 
     def pivot_order(self, column) -> list[int]:
-        """The indices of the nonzero entries of ``column`` in the order
-        ``pick_pivot`` prefers them: by decreasing magnitude, the first
-        among equals first (the sort is stable)."""
-        return sorted((i for i, x in enumerate(column) if x != 0), key=lambda i: -abs(column[i]))
+        """The indices of the nonzero entries of ``column`` in the order in
+        which an elimination prefers them as pivots: by decreasing
+        magnitude, the first among equals first (the sort is stable)."""
+        mags = [-abs(x) for x in column]  # -0.0 for a zero, which is falsy
+        return sorted((i for i, m in enumerate(mags) if m), key=mags.__getitem__)
 
     def sums_equal(self, x, y, terms) -> bool:
         """``|x - y|`` within ``tol`` times the largest magnitude among
@@ -666,10 +668,10 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
         except NonFiniteValue as exc:
             raise ParseError(f"real scalar overflows to infinity: {text!r}") from exc
     if _INT_RE.match(t):
-        return FieldScalar(spec, int(t))
+        return FieldScalar(spec, _parse_int(t))
     m = _FRACTION_RE.match(t)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = _parse_int(m.group(1)), _parse_int(m.group(2))
         if spec.kind == RATIONALS:
             if den == 0:
                 raise ParseError(f"zero denominator in {text!r}")
@@ -680,6 +682,16 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
     if _DECIMAL_RE.match(t):
         raise ParseError(f"decimal syntax requires the real field: {text!r}")
     raise ParseError(f"not a scalar: {text!r}")
+
+
+def _parse_int(digits: str) -> int:
+    """``int(digits)``, or ParseError past the interpreter's limit on the
+    digits of one conversion (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer of more than {limit} digits: {digits[:20]}...") from None
 
 
 class LowDegreePoly:

@@ -16,18 +16,16 @@ rows p, q removed):
 
 No pair copies its submatrix.  A search lists the nonzero rows of each
 column p once, in the order in which ``rref`` would pick them as pivots
-(``pivot_order`` of the field's kernel), and a pair (p, q) reads its
-rank from columns p and q of the structure matrix in place
-(``linalg._pair_rank``): the pivot is the first row of that list outside
-the pair, and the rank is 2 as soon as one other row has a nonzero
-column-q residual against the pivot row, which for a typical rank-2 pair
-is the first row looked at.  Over Q and F_p that first residual is, up
-to the nonzero pivot entry, a 2x2 minor, so one division-free row
-operation per column (``linalg._rank2_columns``) gives it for every q
-at once, and the pairs whose minor is nonzero are rank 2 without a
-``_pair_rank`` call.  The rest, and every pair over R, where the
-residual's cancellation rule decides, go through ``_pair_rank``.
-Rank-0 and rank-1 pairs read every row.
+(``pivot_order`` of the field's kernel), and ranks every pair (p, q) of
+that column in one sweep over the rows of the structure matrix, read in
+place (``linalg._pair_ranks``), over Q, F_p and R alike.  The pivot of a
+pair is the first row of that list outside the pair, and a pair has
+rank 2 as soon as one other row has a nonzero column-q residual against
+it, which for a typical rank-2 pair is the first row looked at; each
+later row is tested only against the pairs still undecided.  Rank-0 and
+rank-1 pairs read every row.  Over R a residual can overflow; the
+column is then ranked again one pair at a time, each just before its
+search, so that the first overflow in scan order is the one raised.
 
 Dimension two is the same pair scan: the submatrix has no rows, so the
 single pair has rank 0, and the rank-0 formulas yield the complete list of
@@ -69,7 +67,7 @@ from dataclasses import dataclass
 from .algebra import Element, EvolutionAlgebra
 from .errors import NonFiniteValue, NotRegular, UnsupportedFieldDimension
 from .field import PRIME_FIELD, FieldScalar, LowDegreePoly, _value_of, nonzero_roots
-from .linalg import Matrix, _pair_rank, _rank2_columns
+from .linalg import Matrix, _pair_ranks
 from .oracle import enumerate_subspaces_of
 from .subspace import Subspace
 
@@ -171,9 +169,13 @@ def _pair_rows(a: EvolutionAlgebra, p: int, q: int) -> tuple[tuple, ...]:
 
 def _column_order(a: EvolutionAlgebra, p: int) -> list[int]:
     """The kernel's pivot order of column p (1-based) of the structure
-    matrix, from which ``_rank2_columns`` and ``_pair_rank`` take the
-    pivot of every pair (p, q)."""
+    matrix, from which ``_pair_ranks`` takes every pair's pivot."""
     return a.spec._kernel.pivot_order([row[p - 1] for row in a.structure._rows])
+
+
+def _pair_rank_of(a: EvolutionAlgebra, p: int, q: int) -> int:
+    """The rank of the pair (p, q), 1-based: ``_pair_ranks`` with q alone."""
+    return _pair_ranks(a.structure._rows, p - 1, [q - 1], _column_order(a, p), a.spec._kernel)[q - 1]
 
 
 def onedim_residual(a: EvolutionAlgebra, x: Element) -> Element:
@@ -220,8 +222,7 @@ def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
     matrix = Matrix._trusted(a.spec, _pair_rows(a, p, q), 2)
-    rank = _pair_rank(a.structure._rows, p - 1, q - 1, _column_order(a, p), a.spec._kernel)
-    return PairSubmatrix(p, q, matrix, rank)
+    return PairSubmatrix(p, q, matrix, _pair_rank_of(a, p, q))
 
 
 def _pair_constants(a: EvolutionAlgebra, p: int, q: int) -> tuple:
@@ -341,12 +342,11 @@ def _rank0_search(
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, hyperplanes: dict, order: list[int]
+    a: EvolutionAlgebra, p: int, q: int, rank: int, hyperplanes: dict
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
-    """Findings and diagnostics for the pair p < q, where ``order`` is
-    ``_column_order(a, p)``."""
+    """Findings and diagnostics for the pair p < q, whose pair submatrix
+    has rank ``rank``."""
     kern, rows, i, j = a.spec._kernel, a.structure._rows, p - 1, q - 1
-    rank = _pair_rank(rows, i, j, order, kern)
     if rank == 2:
         return [], PairDiagnostics(p, q, 2)
     if rank == 1:
@@ -371,7 +371,7 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    found, _ = _pair_search(a, p, q, {}, _column_order(a, p))
+    found, _ = _pair_search(a, p, q, _pair_rank_of(a, p, q), {})
     return found
 
 
@@ -394,13 +394,13 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
     hyperplanes: dict = {}
     rows, kern = a.structure._rows, a.spec._kernel
     for p in range(1, n):
-        order = _column_order(a, p)
-        rank2 = _rank2_columns(rows, p - 1, order, kern)
+        try:
+            ranks = _pair_ranks(rows, p - 1, range(p, n), _column_order(a, p), kern)
+        except NonFiniteValue:  # rank each pair before its search, so the first overflow in scan order raises
+            ranks = None
         for q in range(p + 1, n + 1):
-            if q - 1 in rank2:
-                diags.append(PairDiagnostics(p, q, 2))
-                continue
-            found, diag = _pair_search(a, p, q, hyperplanes, order)
+            rank = _pair_rank_of(a, p, q) if ranks is None else ranks[q - 1]
+            found, diag = _pair_search(a, p, q, rank, hyperplanes)
             for f in found:
                 first.setdefault(id(f.subspace), f)
             diags.append(diag)

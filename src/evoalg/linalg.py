@@ -16,15 +16,13 @@ regularity do not change when the matrix is scaled, and an operation
 that overflows raises NonFiniteValue, as does a determinant whose
 pivot product leaves the normal float range.
 
-The rank of a pair submatrix, which decides each pair of the
-codimension-one search, has its own early-exit helper on the same pivot
-rule and row operations.  It reads columns p and q of the structure
-matrix in place: the pivot is the first row outside the pair in the
-kernel's ``pivot_order`` of column p, which the search takes once per
-column, and the residuals follow in row order.  Over Q and F_p the
-search first takes one division-free row operation per column, the
-kernel's ``minors`` of the pivot row and the first other row, whose
-nonzero entries rule out most rank-2 pairs before any per-pair call.
+The codimension-one search ranks every pair submatrix of one column p
+in one sweep (``_pair_ranks``) on the same pivot rule and row operation.
+It reads columns p and q of the structure matrix in place: the pivot of
+pair (p, q) is the first row outside the pair in the kernel's
+``pivot_order`` of column p, and the other rows are taken once, in
+index order, each testing the column-q residual of only the pairs not
+yet shown to have rank 2.
 """
 
 from __future__ import annotations
@@ -135,10 +133,12 @@ class RrefResult:
 
 
 def _eliminate(rows: list[list], kern) -> tuple[list[int], object, list]:
-    """Forward elimination in place on raw values: scale each pivot row to
-    a leading one and clear the rows below it.  A pivot row whose pivot is
-    already one is left as it is: ``x * 1`` is ``x`` bit for bit in every
-    kernel, ``-0.0`` over R included.
+    """Forward elimination in place on raw values: the pivot of a column
+    is the first of the kernel's ``pivot_order`` among the rows not yet
+    pivoted; scale each pivot row to a leading one and clear the rows
+    below it.  A pivot row whose pivot is already one is left as it is:
+    ``x * 1`` is ``x`` bit for bit in every kernel, ``-0.0`` over R
+    included.
 
     Returns the pivot columns, the row-swap sign (``kern.one`` negated once
     per swap) and the pivots in the order they were taken.  Only
@@ -153,9 +153,10 @@ def _eliminate(rows: list[list], kern) -> tuple[list[int], object, list]:
         r = len(cols)
         if r >= nr:
             break
-        i = kern.pick_pivot(rows, r, c)
-        if i < 0:
+        below = kern.pivot_order([row[c] for row in rows[r:]])
+        if not below:
             continue
+        i = r + below[0]
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
             sign = -sign
@@ -186,52 +187,37 @@ def _gauss_jordan(rows: list[list], kern) -> list[int]:
     return cols
 
 
-def _pair_rank(rows: Sequence, p: int, q: int, order: Sequence[int], kern) -> int:
-    """Rank of the pair submatrix of the raw grid ``rows``: columns
-    ``p`` and ``q`` (0-based) without rows ``p`` and ``q``, read in place.
+def _pair_ranks(rows: Sequence, p: int, qs: Sequence[int], order: Sequence[int], kern) -> dict[int, int]:
+    """Ranks of the pair submatrices of the raw grid ``rows`` (columns p and
+    q without rows p and q) for each q in ``qs``, 0-based, keyed by q.
 
-    ``order`` is ``kern.pivot_order`` of column ``p``, so its first row
-    outside the pair is the one ``pick_pivot`` takes on the submatrix:
-    column ``p`` pivots as in ``_eliminate``, on row ``(a0, b0)``.  The
-    rank is 2 at the first other row, in index order, whose column-``q``
-    residual ``y - x * (b0 * a0^-1)`` is nonzero, so a typical rank-2 pair
-    is decided after a row or two.  The residual is the kernel's
-    ``sub_mul``, the column-``q`` entry of the row operation ``_eliminate``
-    performs, so over R it cancels to zero exactly where ``rref``'s does
-    and the rank is the one ``rref`` finds.  With no column-``p`` pivot the
-    rank is 1 when column ``q`` has a nonzero entry, else 0.
+    ``order`` is ``kern.pivot_order`` of column p, so its first row
+    outside the pair is the pivot ``_eliminate`` takes on the submatrix:
+    one row i for every q but i, the next row of ``order`` for q = i.
+    One sweep per pivot row takes the other rows in index order and tests
+    each, through the kernel's ``residual_zeros``, against the columns q
+    still undecided but its own: a nonzero residual gives rank 2, and a
+    column whose residuals all vanish has rank 1.  With no pivot the rank
+    is 1 where column q has a nonzero entry, else 0.  Over R an overflow
+    raises NonFiniteValue, at a pivot row's ``s_q`` or at the first row,
+    in index order, where some pair's residual overflows.
     """
-    i = next((k for k in order if k != p and k != q), -1)
-    if i < 0:
-        return 1 if any(row[q] for k, row in enumerate(rows) if k != p and k != q) else 0
-    s = kern.mul(rows[i][q], kern.inv(rows[i][p]))
-    for k, row in enumerate(rows):
-        if k != i and k != p and k != q:
-            x, y = row[p], row[q]
-            if (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
-                return 2
-    return 1
-
-
-def _rank2_columns(rows: Sequence, p: int, order: Sequence[int], kern) -> set[int]:
-    """Columns q of the raw grid ``rows`` for which one 2x2 minor shows
-    ``_pair_rank(rows, p, q, order, kern) == 2``, from one row operation.
-
-    The pivot row i is the first of ``order`` other than ``p``, and k0 is
-    the first row other than ``p`` and i.  For every q outside {p, i, k0},
-    ``_pair_rank`` pivots on row i and looks at row k0 first; over an exact
-    field, whose ``a0 * (y - x * (b0 / a0))`` is zero exactly where
-    ``y - x * (b0 / a0)`` is, a nonzero minor of rows (i, k0) against
-    columns (p, q) is the residual at which it returns 2.  Every other
-    pair needs ``_pair_rank``, and so does every pair over R (the kernel
-    has no ``minors``), where the rank follows the cancellation rule of
-    ``sub_mul``.
-    """
-    i = next((k for k in order if k != p), -1)
-    if kern.minors is None or i < 0 or len(rows) < 3:
-        return set()
-    k0 = next(k for k in range(len(rows)) if k != p and k != i)
-    return {q for q, m in enumerate(kern.minors(rows[i], rows[k0], p)) if m} - {i, k0}
+    ranks = {}
+    i, j = ([k for k in order if k != p] + [-1, -1])[:2]
+    for r, group in ((i, [q for q in qs if q != i]), (j, [q for q in qs if q == i])):
+        if r < 0:
+            for q in group:
+                ranks[q] = 1 if any(row[q] for k, row in enumerate(rows) if k != p and k != q) else 0
+        elif group:
+            zeros, left = kern.residual_zeros(rows[r], p, group), group
+            for k, row in enumerate(rows):
+                if not left:
+                    break
+                if k != p and k != r:
+                    left = zeros(row, left, k)
+            ranks.update(dict.fromkeys(group, 2))
+            ranks.update(dict.fromkeys(left, 1))
+    return ranks
 
 
 def rref(m: Matrix) -> RrefResult:

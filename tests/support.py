@@ -571,12 +571,13 @@ def reference_pair_rows(a, p, q):
 
 def reference_pair_rank(rows, kern):
     """Rank of the two-column matrix of raw ``(x, y)`` rows, as the search
-    once computed it on the copy: column 1 pivots by ``pick_pivot``, and
-    the rank is 2 at the first other row whose residual
-    ``y - x * (b0 * a0^-1)`` is nonzero."""
-    i = kern.pick_pivot(rows, 0, 0)
-    if i < 0:
+    once computed it on the copy: column 1 pivots on the first row of its
+    ``pivot_order``, and the rank is 2 at the first other row whose
+    residual ``y - x * (b0 * a0^-1)`` is nonzero."""
+    order = kern.pivot_order([x for x, _ in rows])
+    if not order:
         return 1 if any(y for _, y in rows) else 0
+    i = order[0]
     a0, b0 = rows[i]
     s = kern.mul(b0, kern.inv(a0))
     for k, (x, y) in enumerate(rows):
@@ -585,12 +586,33 @@ def reference_pair_rank(rows, kern):
     return 1
 
 
-def reference_pair_search(a, p, q, hyperplanes, order):
-    """``finder._pair_search`` on a copy of the pair's rows ranked by
-    ``reference_pair_rank``: the search of one pair p < q before it read
-    ranks in place.  ``order`` is accepted and ignored."""
+class ReferenceRanks(dict):
+    """The ranks of the pairs (p, q) of one column of the raw grid ``rows``
+    (0-based, keyed by q), each by ``reference_pair_rank`` on a copy of the
+    pair's rows and only when first read: a rank that overflows raises when
+    the search reaches its pair, as it did when each pair was ranked on
+    its own."""
+
+    def __init__(self, rows, p, kern):
+        super().__init__()
+        self.rows, self.p, self.kern = rows, p, kern
+
+    def __missing__(self, q):
+        p = self.p
+        pair = tuple((r[p], r[q]) for k, r in enumerate(self.rows) if k != p and k != q)
+        return reference_pair_rank(pair, self.kern)
+
+
+def reference_pair_ranks(rows, p, qs, order, kern):
+    """``linalg._pair_ranks`` as ``ReferenceRanks``; ``qs`` and ``order``
+    are accepted and ignored."""
+    return ReferenceRanks(rows, p, kern)
+
+
+def reference_pair_search(a, p, q, rank, hyperplanes):
+    """``finder._pair_search`` on a copy of the pair's rows: the search of
+    one pair p < q before it read them in place."""
     kern, rows = a.spec._kernel, reference_pair_rows(a, p, q)
-    rank = reference_pair_rank(rows, kern)
     if rank == 2:
         return [], finder.PairDiagnostics(p, q, 2)
     if rank == 1:
@@ -610,8 +632,11 @@ def reference_pair_search(a, p, q, hyperplanes, order):
 
 
 def reference_enumerate_codim1(a):
-    """``enumerate_codim1`` with every pair searched by ``reference_pair_search``."""
-    with mock.patch.object(finder, "_pair_search", reference_pair_search):
+    """``enumerate_codim1`` with every pair ranked by ``reference_pair_ranks``
+    and searched by ``reference_pair_search``."""
+    with mock.patch.object(finder, "_pair_ranks", reference_pair_ranks), mock.patch.object(
+        finder, "_pair_search", reference_pair_search
+    ):
         return finder.enumerate_codim1(a)
 
 

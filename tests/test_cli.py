@@ -493,6 +493,26 @@ def test_bad_scalar_is_usage_error(tmp_path, capsys):
     assert "decimal" in err
 
 
+BIG = "1" + "0" * 5000  # past the interpreter's default limit of 4300 digits per int conversion
+
+
+@pytest.mark.parametrize(
+    "field, entry, argv",
+    [
+        ({"kind": "Q"}, BIG, ["info"]),
+        ({"kind": "Fp", "p": 7}, "1/" + BIG, ["codim1"]),
+        ({"kind": "Q"}, "1", ["onedim", "--vector", "+" + BIG + ",1"]),
+        ({"kind": "Fp", "p": 3}, "1", ["verify", "--span", "1," + BIG]),
+    ],
+    ids=["info-entry", "codim1-denominator", "onedim-vector", "verify-span"],
+)
+def test_integer_text_past_the_digit_limit_is_usage_error(tmp_path, capsys, field, entry, argv):
+    path = write_algebra(tmp_path, "big.alg", field, 2, [[entry, "0"], ["0", "1"]])
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err and err.count("\n") == 1, err
+
+
 def test_bad_vector_arity(identity2, capsys):
     code, _, err = run(capsys, "onedim", identity2, "--vector", "1,2,3")
     assert code == 2

@@ -23,7 +23,7 @@ from evoalg import (
     rref,
 )
 from evoalg.field import _PRIME_TEST_LIMIT, _is_prime, _PrimeField, _Rationals, _Reals
-from evoalg.linalg import _det_of, _elimination, _pair_rank
+from evoalg.linalg import _det_of, _elimination, _pair_ranks
 from support import (
     F2,
     F3,
@@ -422,7 +422,8 @@ def test_pair_rank_matches_rref_rank(spec):
     # Each two-column matrix is read as the pair submatrix of p, q = 0, 1,
     # below two rows of the pair that the rank must skip: they are drawn
     # from their own generator, as zeros or as entries that outweigh the
-    # whole column, so that pick_pivot would take them if they counted.
+    # whole column, so that the pivot order would put them first if they
+    # counted.
     rng, pair_rng = random.Random(71), random.Random(72)
     kern = spec._kernel
     for _ in range(500):
@@ -445,7 +446,7 @@ def test_pair_rank_matches_rref_rank(spec):
         pair = [[pair_rng.choice((0, 1, -1)) * pair_rng.choice((1, 10**6)) for _ in "xy"] for _ in "pq"]
         grid = [[kern.canonical(x) for x in row] for row in pair] + list(map(list, zip(xv, yv)))
         order = kern.pivot_order([row[0] for row in grid])
-        assert _pair_rank(grid, 0, 1, order, kern) == rref(m).rank, m
+        assert _pair_ranks(grid, 0, [1], order, kern) == {1: rref(m).rank}, m
 
 
 @pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
