@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
 from .errors import EvoAlgError, ParseError
-from .field import APPROX_REALS, PRIME_FIELD, FieldSpec, scalar_parse
+from .field import APPROX_REALS, PRIME_FIELD, FieldSpec, _parse_int, scalar_parse
 from .finder import (
     CASE_DROP_Q,
     CASE_ROOT,
@@ -85,10 +85,10 @@ class AlgebraFile:
     def from_path(cls, path: str) -> "AlgebraFile":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                obj = json.load(fh, parse_int=_parse_int)
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, deep nesting
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 
@@ -144,12 +144,11 @@ def _finding_provenance(f: CodimOneFound) -> str:
 
 
 def _vector_text(f: CodimOneFound) -> str:
-    alpha, beta = f.vector
     parts = []
-    if not alpha.is_zero():
-        parts.append(f"e{f.p}" if alpha.is_one() else f"{alpha.render()}*e{f.p}")
-    if not beta.is_zero():
-        parts.append(f"e{f.q}" if beta.is_one() else f"{beta.render()}*e{f.q}")
+    for x, k in zip(f.vector, (f.p, f.q)):
+        if not x.is_zero():
+            text = x.render()  # a coefficient is one where it renders so, as in field._render_terms
+            parts.append(f"e{k}" if text == "1" else f"{text}*e{k}")
     return " + ".join(parts) if parts else "0"
 
 

@@ -154,10 +154,6 @@ class _Rationals:
         """``row - f * prow``."""
         return self.add_multiple(row, -f, prow)
 
-    def sub_mul(self, a, f, b):
-        """``a - f * b``: one entry of ``sub_multiple``."""
-        return self.canonical(a - f * b)
-
     def residual_zeros(self, prow, c, qs):
         """The residual test of ``linalg._pair_ranks`` for the pivot row
         ``prow`` on column ``c`` and the columns ``qs``: a function of a
@@ -180,25 +176,6 @@ class _Rationals:
         """The indices of the nonzero entries of ``column`` in the order in
         which an elimination prefers them as pivots: index order."""
         return [i for i, x in enumerate(column) if x != 0]
-
-    def in_span(self, v, rows, pivots) -> bool:
-        """Whether ``v`` reduces to exactly zero against ``rows``, a reduced
-        row echelon basis with its leading ones at ``pivots``.
-
-        Only the free (non-pivot) columns are reduced.  A pivot column ends
-        at an exact zero: its own row leaves ``f - f * 1``, and every other
-        row holds an exact zero there, so the factor of each row is the
-        entry of ``v`` itself.  The free entries go through ``sub_mul`` row
-        by row, in the order of the full reduction, so an overflow over R
-        raises at the same entry with the same message.  An entry facing a
-        zero is passed through: ``a - f * 0`` is ``a`` but for the sign of
-        a zero, which the verdict ignores."""
-        free = [j for j in range(len(v)) if j not in pivots]
-        w, sub_mul = [v[j] for j in free], self.sub_mul
-        for row, c in zip(rows, pivots):
-            if (f := v[c]) != 0:
-                w = [sub_mul(a, f, b) if (b := row[j]) else a for a, j in zip(w, free)]
-        return not any(w)
 
     def sums_equal(self, x, y, terms) -> bool:
         """Whether ``x`` and ``y``, two sums of the raw values ``terms``, are equal."""

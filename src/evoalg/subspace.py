@@ -67,7 +67,7 @@ class Subspace:
         relative to the magnitudes they subtract)."""
         if u.algebra != self.algebra:
             raise ValueError("element from a different algebra")
-        return self.algebra.spec._kernel.in_span(u._coords, self.basis._rows, self.pivot_cols)
+        return _reduces_to_zero(self.algebra.spec._kernel, u._coords, self.basis._rows, self.pivot_cols)
 
     def is_subalgebra(self) -> bool:
         """Closure under the product; basis pairs suffice by bilinearity.
@@ -77,38 +77,41 @@ class Subspace:
         follows from the definition, e_a * e_b = 0 for a != b, not from
         the paper's theorem, so the check stays independent of it.  Each
         row is multiplied by itself, and every pair whose supports meet is
-        formed and reduced by the kernel's ``in_span``, on the free columns.
+        formed and reduced against the basis.
         """
-        in_span, product = self.algebra.spec._kernel.in_span, self.algebra._product
-        rows, pivots = self.basis._rows, self.pivot_cols
-        supports = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
+        kern, product = self.algebra.spec._kernel, self.algebra._product
+        rows, pivots, supports = self.basis._rows, self.pivot_cols, _supports(self.basis._rows)
         for i, (u, su) in enumerate(zip(rows, supports)):
             for w, sw in zip(rows[i:], supports[i:]):
-                if su & sw and not in_span(product(u, w), rows, pivots):
+                if su & sw and not _reduces_to_zero(kern, product(u, w), rows, pivots):
                     return False
         return True
 
     def natural_basis(self) -> list[Element]:
         """The canonical basis, which is natural when the ambient algebra
-        is regular: pairwise products vanish and supports are disjoint.
+        is regular: by the paper's theorem its supports are then pairwise
+        disjoint, so its pairwise products vanish, e_a * e_b = 0 for a != b.
 
         Raises NotASubalgebra when the subspace is not closed, and else
         NotRegular for singular ambient algebras (no guarantee exists
         there, even though such bases occasionally do): closure is
         checked first, as it needs no elimination of the structure matrix.
+        Over R, closed only within ``tol``, supports may meet: that raises
+        NotASubalgebra too, naming two basis vectors and a shared coordinate.
         """
         if not self.is_subalgebra():
             raise NotASubalgebra("subspace is not closed under the product")
         if not self.algebra.is_regular():
             raise NotRegular("ambient algebra is not regular")
-        basis = list(self.basis_elements())
-        for i, u in enumerate(basis):
-            for w in basis[i + 1 :]:
-                if not (u * w).is_zero():
-                    raise AssertionError("natural-basis guarantee violated: nonzero cross product")
-                if set(u.support()) & set(w.support()):
-                    raise AssertionError("natural-basis guarantee violated: overlapping supports")
-        return basis
+        basis, supports, seen = self.basis_elements(), _supports(self.basis._rows), 0
+        for w, sw in zip(basis, supports):
+            if shared := seen & sw:
+                bit = shared & -shared
+                u = next(u for u, su in zip(basis, supports) if su & bit)
+                msg = f"basis vectors {u.render()} and {w.render()} share e{bit.bit_length()}"
+                raise NotASubalgebra(msg + ": the subspace is closed only within tol, no natural basis")
+            seen |= sw
+        return list(basis)
 
     def sort_key(self):
         return (
@@ -130,3 +133,20 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace({self.render()}, dim={self.dim})"
+
+
+def _supports(rows) -> list[int]:
+    """The support of each raw row as a bitmask: bit k is set where
+    coordinate k is nonzero."""
+    return [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
+
+
+def _reduces_to_zero(kern, v, rows, pivots) -> bool:
+    """Whether ``v`` reduces to exactly zero against ``rows``, a reduced
+    row echelon basis with its leading ones at ``pivots``: each row with a
+    nonzero entry of ``v`` at its pivot is subtracted, on every column, by
+    the kernel's ``sub_multiple``, so an overflow over R raises there."""
+    for row, c in zip(rows, pivots):
+        if v[c] != 0:
+            v = kern.sub_multiple(v, v[c], row)
+    return not any(v)

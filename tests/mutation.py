@@ -50,6 +50,7 @@ class Mutant:
 
 PAIR_SCAN = "tests/test_pair_scan.py::"
 RANKS_MATCH = PAIR_SCAN + "test_pair_ranks_of_every_column_match_the_pair_submatrix"
+SUBSPACE = "tests/test_subspace.py::"
 
 MUTANTS = [
     # The one sweep that ranks every pair of a column (linalg._pair_ranks).
@@ -128,6 +129,28 @@ MUTANTS = [
         "kern.canonical(terms[0] + terms[1])",
         "kern.canonical(terms[0] - terms[1])",
         ("tests/test_finder.py", "-k", "natural_basis_change or sound_everywhere"),
+    ),
+    # Membership, closure and the natural basis (subspace.py).
+    Mutant(
+        "reduction-skips-the-last-row",
+        "subspace.py",
+        "for row, c in zip(rows, pivots):",
+        "for row, c in zip(rows[:-1], pivots):",
+        (SUBSPACE + "test_contains_matches_the_scalar_reference_on_seeded_draws",),
+    ),
+    Mutant(
+        "supports-not-accumulated",
+        "subspace.py",
+        "seen |= sw",
+        "seen = sw",
+        (SUBSPACE + "test_real_span_closed_within_tol_has_no_natural_basis[first-and-last]",),
+    ),
+    Mutant(
+        "closure-skips-the-squares",
+        "subspace.py",
+        "zip(rows[i:], supports[i:])",
+        "zip(rows[i + 1 :], supports[i + 1 :])",
+        (SUBSPACE + "test_sparse_closure_matches_scalar_reference",),
     ),
 ]
 

@@ -2,11 +2,11 @@
 
 The oracles here (cofactor determinants, the Gaussian-binomial
 recurrence, bisection root finding, the rational-root divisor scan, the
-cubic discriminant, kernel counting, elimination, the algebra product and
-the closure test on ``FieldScalar`` operations, the full-row membership
-reduction, the pairwise ``==`` deduplication of codimension-one findings,
-the pair search on a copy of each pair's rows) deliberately avoid the
-library code paths they are used to check.
+cubic discriminant, kernel counting, elimination, the algebra product,
+the membership and the closure test on ``FieldScalar`` operations, the
+pairwise ``==`` deduplication of codimension-one findings, the pair
+search on a copy of each pair's rows) deliberately avoid the library
+code paths they are used to check.
 """
 
 from __future__ import annotations
@@ -126,6 +126,18 @@ NEAR_EQUAL_ROOTS_REAL_ROWS = [["5.000000003", "2.000000002"], ["1", "4.000000001
 # first two lie within tol of each other but are unequal at tol 1e-9, and
 # both lines are closed.
 CLOSE_SMALL_ROOTS_REAL_ROWS = [["0.040100000603", "0.000200000006"], ["1", "2.0200000003"]]
+
+
+# Regular real algebra (det about -6.1e-8 at tol 1e-9) in which
+# span{e1 + s*e3, e2 + r*e3} is closed within tol: its structure rows lie in
+# that span up to a relative perturbation, so its canonical basis, which
+# shares e3, is no natural basis.
+CLOSED_WITHIN_TOL_REAL_ROWS = [
+    [0.42168342147108095, -1.9708974289336882, 6.422509085310349],
+    [2.2066863866099604, 2.84265141695815, -2.8669835922233027],
+    [1.9164846636767834, 2.773206751084908, -3.333875729832003],
+]
+CLOSED_WITHIN_TOL_SPAN = "1,0,2.272307389253079;0,1,-2.7725008164085168"
 
 
 def identity_rows(n):
@@ -347,16 +359,6 @@ def scalar_contains(sub, coords):
         if f.value != 0:
             v = [scalar_sub_mul(a, f, b) for a, b in zip(v, row)]
     return all(x.value == 0 for x in v)
-
-
-def full_row_in_span(kern, v, rows, pivots):
-    """Reference membership test on raw values: ``v`` reduced against the
-    RREF basis ``rows`` by the kernel's ``sub_multiple`` on every column,
-    pivot columns included, to an exactly zero residual."""
-    for row, c in zip(rows, pivots):
-        if v[c] != 0:
-            v = kern.sub_multiple(v, v[c], row)
-    return not any(v)
 
 
 def pairwise_deduplicated_codim1(a):
@@ -581,7 +583,7 @@ def reference_pair_rank(rows, kern):
     a0, b0 = rows[i]
     s = kern.mul(b0, kern.inv(a0))
     for k, (x, y) in enumerate(rows):
-        if k != i and (kern.sub_mul(y, x, s) if x != 0 else y) != 0:
+        if k != i and (kern.sub_multiple([y], x, [s])[0] if x != 0 else y) != 0:
             return 2
     return 1
 

@@ -17,6 +17,8 @@ import evoalg
 from evoalg import FieldSpec, Matrix, ParseError
 from evoalg.cli import AlgebraFile, main
 from support import (
+    CLOSED_WITHIN_TOL_REAL_ROWS,
+    CLOSED_WITHIN_TOL_SPAN,
     CUBIC_OVERFLOW_REAL_ROWS,
     LARGEST_PRIME,
     NEAR_SINGULAR_REAL_ROWS,
@@ -435,6 +437,29 @@ def test_natural_basis_failure_exit_code(identity2, capsys):
     assert "not closed" in err
 
 
+def test_real_span_closed_within_tol_is_one_line_error(tmp_path, capsys):
+    # Closed and regular within tol, but the canonical basis shares e3.
+    path = write_algebra(tmp_path, "near.alg", REALS, 3, CLOSED_WITHIN_TOL_REAL_ROWS)
+    want = (
+        "error: basis vectors e1 + 2.2723073892530792*e3 and e2 - 2.7725008164085168*e3 share e3: "
+        "the subspace is closed only within tol, no natural basis\n"
+    )
+    for argv in (["verify"], ["verify", "--json"], ["natural-basis"]):
+        assert run(capsys, *argv, path, "--span", CLOSED_WITHIN_TOL_SPAN) == (1, "", want), argv
+
+
+def test_codim1_real_coefficient_near_one_is_printed(tmp_path, capsys):
+    # 0.99999999999977407 equals one within tol 1e-12, but renders unlike it.
+    rows = [[-1.0, -1.3799238948488982e-12], [1.0, 9.28075082094008e-13]]
+    path = write_algebra(tmp_path, "near1.alg", {"kind": "R", "tol": 1e-12}, 2, rows)
+    code, out, _ = run(capsys, "codim1", path)
+    assert code == 0
+    assert out.splitlines()[3] == (
+        "  span{e1 + 0.99999999999977407*e2}  "
+        "[pair (1,2): v = e1 + 0.99999999999977407*e2 (cubic root 0.99999999999977407)]"
+    )
+
+
 def test_commands_refuse_before_the_regularity_elimination(tmp_path, capsys, monkeypatch):
     # The elimination of the structure matrix is the dearest check: a span
     # that is not closed, or onedim over Q in dimension three, is answered
@@ -531,14 +556,20 @@ def test_schema_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data", [b"\xff\xfe", b"1" * 5000, b"[" * 100_000], ids=["bad-utf8", "digit-limit", "deep-nesting"]
+    "data, message",
+    [
+        (b"\xff\xfe", "is not valid JSON"),
+        (b"1" * 5000, f"error: integer of more than {sys.get_int_max_str_digits()} digits: 11111"),
+        (b"[" * 100_000, "is not valid JSON"),
+    ],
+    ids=["bad-utf8", "digit-limit", "deep-nesting"],
 )
-def test_unreadable_json_is_usage_error(tmp_path, capsys, data):
+def test_unreadable_json_is_usage_error(tmp_path, capsys, data, message):
     path = tmp_path / "odd.alg"
     path.write_bytes(data)
     code, out, err = run(capsys, "info", str(path))
     assert (code, out) == (2, "")
-    assert "is not valid JSON" in err and err.count("\n") == 1
+    assert message in err and err.count("\n") == 1
 
 
 def test_output_is_deterministic(dense3, capsys):

@@ -17,14 +17,12 @@ from evoalg import (
     FieldSpec,
     IdenticallyZeroPolynomial,
     LowDegreePoly,
-    Matrix,
     NonFiniteValue,
     ParseError,
     nonzero_roots,
     scalar_parse,
 )
 from evoalg.field import _dyadic_float, _is_prime, _root_intervals, _rounds_alike, _sturm_chain
-from evoalg.linalg import rref
 from support import (
     F2,
     F3,
@@ -34,7 +32,6 @@ from support import (
     bisect_root,
     changes_sign_around,
     distinct_real_root_count,
-    full_row_in_span,
     is_rational_raw,
     pool_divisors,
     rational_roots_by_divisors,
@@ -642,68 +639,3 @@ def test_real_roots_match_the_discriminant_on_seeded_cubics(family):
                 kept.append(lo)
         assert len(got) == len(kept), cs
         assert all(changes_sign_around(cs, x) for x in got), cs
-
-
-_SPAN_ENTRIES = {
-    "Q": ("1", "-1", "2", "1/2", "-3/4", "5"),
-    "Fp": ("1", "2", "3", "4", "5", "6"),
-    "R": ("1", "-1", "49", "-2.5", "0.1", "1e-3", "3e7", "-7e-5"),
-}
-
-
-def _in_span_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except NonFiniteValue as exc:
-        return type(exc).__name__, str(exc)
-
-
-@pytest.mark.parametrize("spec", [Q, F2, FieldSpec.prime_field(7), R9], ids=["Q", "F2", "F7", "R"])
-def test_in_span_reduces_free_columns_like_the_full_rows(spec):
-    # Pivot columns end at an exact zero in the full reduction, so reducing
-    # the free columns alone gives the same verdict, and the same overflow.
-    rng, kern = random.Random(1400), spec._kernel
-    small = _SPAN_ENTRIES[spec.kind]
-    big = small + (("1e200", "-1e200") if spec.kind == "R" else ())  # their products overflow
-    entry = lambda pool: "-0" if rng.random() < 0.15 else "0" if rng.random() < 0.4 else rng.choice(pool)
-    value = lambda pool: Matrix.from_rows(spec, [[entry(pool)]])._rows[0][0]
-    checked = 0
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        spanning = [[entry(big) for _ in range(n)] for _ in range(rng.randint(1, n))]
-        try:
-            res = rref(Matrix.from_rows(spec, spanning))
-        except NonFiniteValue:  # a spanning set whose elimination overflows has no basis
-            continue
-        rows, pivots = res.rref._rows[: res.rank], res.pivot_cols
-        for _ in range(6 if rows else 0):
-            v = [value(small) for _ in range(n)] if rng.random() < 0.3 else [kern.zero] * n
-            for row in rows:  # plus a combination of the basis
-                if rng.random() < 0.6:
-                    f = value(small)
-                    v = [kern.canonical(a + f * b) for a, b in zip(v, row)]
-            if rng.random() < 0.3:
-                v[rng.randrange(n)] = value(big)
-            v = tuple(v)
-            assert _in_span_outcome(kern.in_span, v, rows, pivots) == _in_span_outcome(
-                full_row_in_span, kern, v, rows, pivots
-            )
-            checked += 1
-    assert checked > 1000
-
-
-@pytest.mark.parametrize(
-    "rows, pivots, v, message",
-    [
-        (((1.0, 1e300),), (0,), (1e300, 0.0), "got inf"),  # f * b overflows
-        (((1.0, 1e308),), (0,), (1.0, -1e308), "got -inf"),  # a - f * b overflows
-        (((1.0, 0.0, -0.0, 2.0), (0.0, 0.0, 1.0, 1e308)), (0, 2), (-0.0, 5.0, 1.0, -1e308), "got -inf"),
-    ],
-)
-def test_in_span_overflow_names_the_entry_of_the_full_reduction(rows, pivots, v, message):
-    kern = R9._kernel
-    with pytest.raises(NonFiniteValue) as full:
-        full_row_in_span(kern, v, rows, pivots)
-    with pytest.raises(NonFiniteValue) as free:
-        kern.in_span(v, rows, pivots)
-    assert str(free.value) == str(full.value) and str(full.value).endswith(message)

@@ -849,8 +849,25 @@ def test_natural_basis_change(spec):
         for before, after in answers:
             want = [_in_changed_basis(sub, b, perm, lam) for sub in before]
             assert subspace_keys(after) == subspace_keys(want), context
+            images = {sub.sort_key(): sub for sub in after}
+            for sub, image in zip(before, want):
+                moved = {frozenset(perm[k - 1] + 1 for k in s) for s in _natural_supports(sub)}
+                assert set(_natural_supports(images[image.sort_key()])) == moved, context
             found += len(want)
     assert found >= 100
+
+
+def _natural_supports(sub):
+    """The supports of the natural basis of ``sub``, once checked: it is
+    the canonical basis, its supports are pairwise disjoint and its cross
+    products vanish."""
+    basis = sub.natural_basis()
+    assert basis == list(sub.basis_elements())
+    supports = [frozenset(e.support()) for e in basis]
+    for i, (u, su) in enumerate(zip(basis, supports)):
+        for w, sw in zip(basis[i + 1 :], supports[i + 1 :]):
+            assert not su & sw and (u * w).is_zero()
+    return supports
 
 
 def test_real_cubic_with_zero_linear_term_has_its_root():

@@ -183,7 +183,7 @@ def test_rational_raw_values_are_ints_or_proper_fractions():
         check("FieldScalar", (z.value for z in (x + y, x - y, x * y, x / y, y.inv(), 3 - x, *powers)))
         a, f, b = (kern.canonical(draw()) for _ in range(3))
         row, prow = [kern.canonical(draw()) for _ in range(4)], [kern.canonical(draw()) for _ in range(4)]
-        check("kernel", [kern.mul(a, b), kern.inv(kern.canonical(nonzero())), kern.sub_mul(a, f, b), kern.dot(row, prow)])
+        check("kernel", [kern.mul(a, b), kern.inv(kern.canonical(nonzero())), kern.dot(row, prow)])
         check("kernel rows", kern.scale(row, f) + kern.add_multiple(row, f, prow) + kern.sub_multiple(row, f, prow))
     for n in (2, 3, 4, 5):
         for k in range(20):

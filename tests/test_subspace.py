@@ -11,21 +11,27 @@ from evoalg import (
     EvoAlgError,
     EvolutionAlgebra,
     FieldSpec,
+    Matrix,
+    NonFiniteValue,
     NotASubalgebra,
     NotRegular,
     Subspace,
     enumerate_subalgebras,
+    scalar_parse,
 )
 from support import (
     F2,
     F3,
     Q,
     R9,
+    CLOSED_WITHIN_TOL_REAL_ROWS,
+    CLOSED_WITHIN_TOL_SPAN,
     SHIFT_NILPOTENT_ROWS,
     all_regular_structures,
     elem,
     identity_rows,
     make_algebra,
+    outcome,
     random_regular_fp,
     scalar_contains,
     scalar_is_subalgebra,
@@ -154,6 +160,7 @@ def test_natural_basis_rejects_non_regular_ambient():
 
 def _assert_natural(subalgebra):
     basis = subalgebra.natural_basis()
+    assert basis == list(subalgebra.basis_elements())
     for i, u in enumerate(basis):
         for w in basis[i + 1 :]:
             assert (u * w).is_zero()
@@ -183,6 +190,71 @@ def test_natural_basis_sampled_f3_dim3():
         a = make_algebra(F3, random_regular_fp(3, 3, rng))
         for sub in enumerate_subalgebras(a):
             _assert_natural(sub)
+
+
+# span{e1 + s*e4, e2, e3 + r*e4}, closed within tol in a regular algebra:
+# the first and the third basis vector share e4, the second meets neither.
+_FIRST_AND_LAST_SHARE_ROWS = [
+    [-1.834, 3.968, -2.435, -7.932879001404671],
+    [-2.554, 2.072, -2.556, -8.594975991924276],
+    [3.838, -2.674, 3.134, 10.839545999532573],
+    [-2.548, -2.453, -3.715, -11.996403000604296],
+]
+
+
+@pytest.mark.parametrize(
+    "rows, span, named",
+    [
+        (
+            CLOSED_WITHIN_TOL_REAL_ROWS,
+            CLOSED_WITHIN_TOL_SPAN,
+            "e1 + 2.2723073892530792*e3 and e2 - 2.7725008164085168*e3 share e3",
+        ),
+        (
+            _FIRST_AND_LAST_SHARE_ROWS,
+            "1,0,0,0.426;0,1,0,0;0,0,1,2.937",
+            "e1 + 0.42599999999999999*e4 and e3 + 2.9369999999999998*e4 share e4",
+        ),
+    ],
+    ids=["adjacent", "first-and-last"],
+)
+def test_real_span_closed_within_tol_has_no_natural_basis(rows, span, named):
+    # Closed and regular within tol, yet two canonical basis vectors share a
+    # coordinate: the support pass names them in a NotASubalgebra.
+    a = make_algebra(R9, rows)
+    sub = _span(a, *(v.split(",") for v in span.split(";")))
+    assert sub.is_subalgebra() and a.is_regular()
+    with pytest.raises(NotASubalgebra) as info:
+        sub.natural_basis()
+    assert str(info.value) == f"basis vectors {named}: the subspace is closed only within tol, no natural basis"
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_real_spans_closed_within_tol_raise_only_domain_errors(tol):
+    # span{e1 + s*e3, e2 + r*e3} with every structure row in it up to a
+    # relative perturbation d, from tol/1000 to 100*tol: some draws are
+    # closed and regular within tol, and the shared e3 must then be named.
+    spec, rng, overlaps = FieldSpec.approx_reals(tol), random.Random(2801), 0
+    for _ in range(4000):
+        s, r = rng.uniform(-4, 4), rng.uniform(-4, 4)
+        rows = []
+        for _ in range(3):
+            x, y = rng.uniform(-4, 4), rng.uniform(-4, 4)
+            d = tol * 10 ** rng.uniform(-3, 2)
+            rows.append([x, y, (s * x + r * y) * (1 + rng.choice((-1, 1)) * d)])
+        a = make_algebra(spec, rows)
+        sub = _span(a, [1.0, 0.0, s], [0.0, 1.0, r])
+        try:
+            sub.natural_basis()
+        except EvoAlgError as exc:
+            if "share e3" in str(exc):
+                assert isinstance(exc, NotASubalgebra) and sub.is_subalgebra() and a.is_regular()
+                overlaps += 1
+                if overlaps == 20:
+                    return
+        else:
+            raise AssertionError(f"a natural basis sharing e3: {rows}")
+    raise AssertionError(f"only {overlaps} spans closed within tol")
 
 
 def test_sort_key_orders_by_dimension_first():
@@ -300,3 +372,66 @@ def test_closure_forms_only_products_of_rows_whose_supports_meet(monkeypatch):
         calls.clear()
         assert _span(zero, *vectors).is_subalgebra()
         assert len(calls) == formed
+
+
+_SPAN_ENTRIES = {
+    "Q": ("1", "-1", "2", "1/2", "-3/4", "5"),
+    "Fp": ("1", "2", "3", "4", "5", "6"),
+    "R": ("1", "-1", "49", "-2.5", "0.1", "1e-3", "3e7", "-7e-5"),
+}
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F7, R9], ids=["Q", "F2", "F7", "R"])
+def test_contains_matches_the_scalar_reference_on_seeded_draws(spec):
+    # Combinations of a basis, some with one entry replaced, over R some
+    # with an entry near 1e200 whose product with the basis overflows:
+    # the verdict, or the error and its message, is the reference's.
+    rng = random.Random(1400)
+    small = _SPAN_ENTRIES[spec.kind]
+    big = small + (("1e200", "-1e200") if spec.kind == "R" else ())
+    entry = lambda pool: "-0" if rng.random() < 0.15 else "0" if rng.random() < 0.4 else rng.choice(pool)
+    value = lambda pool: scalar_parse(entry(pool), spec)
+    checked, verdicts = 0, []
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        a = make_algebra(spec, identity_rows(n))
+        spanning = [[entry(big) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        try:
+            sub = Subspace(a, Matrix.from_rows(spec, spanning))
+        except NonFiniteValue:  # a spanning set whose elimination overflows has no basis
+            continue
+        for _ in range(6 if sub.dim else 0):
+            v = [value(small) for _ in range(n)] if rng.random() < 0.3 else [spec.zero()] * n
+            for row in sub.basis.rows():  # plus a combination of the basis
+                if rng.random() < 0.6:
+                    f = value(small)
+                    v = [x + f * b for x, b in zip(v, row)]
+            if rng.random() < 0.3:
+                v[rng.randrange(n)] = value(big)
+            u = a.element(v)
+            verdicts.append(outcome(lambda: sub.contains(u)))
+            assert verdicts[-1] == outcome(lambda: scalar_contains(sub, u.coords))
+            checked += 1
+    assert checked > 1000 and verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+@pytest.mark.parametrize(
+    "rows, pivots, v, message",
+    [
+        (((1.0, 1e300),), (0,), (1e300, 0.0), "got inf"),  # f * b overflows
+        (((1.0, 1e308),), (0,), (1.0, -1e308), "got -inf"),  # a - f * b overflows
+        (((1.0, 0.0, -0.0, 2.0), (0.0, 0.0, 1.0, 1e308)), (0, 2), (-0.0, 5.0, 1.0, -1e308), "got -inf"),
+    ],
+    ids=["product", "difference", "second-row"],
+)
+def test_contains_overflow_names_the_entry_of_the_scalar_reference(rows, pivots, v, message):
+    a = make_algebra(R9, identity_rows(len(v)))
+    sub = Subspace(a, Matrix.from_rows(R9, rows))
+    assert [list(map(repr, row)) for row in sub.basis._rows] == [list(map(repr, row)) for row in rows]
+    assert sub.pivot_cols == pivots
+    u = a.element(v)
+    with pytest.raises(NonFiniteValue) as want:
+        scalar_contains(sub, u.coords)
+    with pytest.raises(NonFiniteValue) as got:
+        sub.contains(u)
+    assert str(got.value) == str(want.value) and str(want.value).endswith(message)
