@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .algebra import Element, EvolutionAlgebra
 from .errors import EvoAlgError, ParseError
-from .field import APPROX_REALS, PRIME_FIELD, FieldSpec, _parse_int, scalar_parse
+from .field import APPROX_REALS, PRIME_FIELD, FieldSpec, _parse_float, _parse_int, scalar_parse
 from .finder import (
     CASE_DROP_Q,
     CASE_ROOT,
@@ -85,7 +85,7 @@ class AlgebraFile:
     def from_path(cls, path: str) -> "AlgebraFile":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh, parse_int=_parse_int)
+                obj = json.load(fh, parse_float=_parse_float, parse_int=_parse_int)
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting

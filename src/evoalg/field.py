@@ -12,7 +12,8 @@ computed on by the spec's kernel (``_Rationals``, ``_PrimeField``,
 ``_Reals``), the only code for canonical form, equality and its hash,
 inverse, reduction mod p, rendering and the overflow check over R.  A
 raw value is zero when it equals 0, in every field; over R only a sum or
-difference that cancels is rounded to zero (``_Reals``).  A
+difference that cancels is rounded to zero (``_Reals``), also by the
+``FieldScalar`` operators and ``LowDegreePoly.evaluate``.  A
 ``FieldScalar`` is a value at the API boundary: public constructors
 unwrap it once (``_value_of``, ``_coerced_value``); accessors,
 diagnostics and rendering create it.
@@ -403,17 +404,19 @@ class _Reals(_Rationals):
 
     def nonzero_roots(self, cs) -> list:
         """The real roots of the exact binary cubic ``cs``, each correctly
-        rounded, kept when above ``tol`` in magnitude, unequal by ``eq`` to
-        the last kept (so, as they ascend, pairwise unequal) and accepted
-        by ``_residual_within``.  The zero test is absolute: a root is a
-        ratio that scaling the structure matrix leaves alone."""
+        rounded, kept when nonzero, unequal by ``eq`` to the last kept (so,
+        as they ascend, pairwise unequal) and accepted by
+        ``_residual_within``.  A root is zero only where it rounds to
+        ``0.0``: a change of natural basis turns a root t into 1/t or
+        scales it by a power of two, and a threshold on ``|t|`` would
+        follow neither."""
         chain = _sturm_chain(map(Fraction, cs))
         out: list[float] = []
         for _, hi, k in _root_intervals(chain, _rounds_alike):
             x = _dyadic_float(hi, k)
             if math.isinf(x):
                 raise NonFiniteValue("real root search overflows: a root lies beyond the float range")
-            if abs(x) <= self.tol:
+            if x == 0:
                 continue
             if not self._residual_within(cs, x, 1.0):
                 continue
@@ -518,7 +521,9 @@ class FieldScalar:
     (not a bool) or a ``Fraction``, over F_p from an int (not a bool); any
     other type raises TypeError.
     Equality and hashing are the kernel's: over R, ``a - b`` cancels to
-    zero.  ``is_zero`` is exact, and the operators do not round.
+    zero.  ``is_zero`` is exact; ``+`` and ``-`` are one entry of the
+    kernel's row operation and ``*`` its ``mul``, so ``(x - y).is_zero()``
+    is ``x == y``.
     """
 
     __slots__ = ("spec", "value")
@@ -541,23 +546,27 @@ class FieldScalar:
 
     # -- arithmetic ---------------------------------------------------
 
+    def _entry(self, a, f: int, b) -> "FieldScalar":
+        """``a + f*b`` for ``f = ±1``, as one entry of the kernel's row operation."""
+        return FieldScalar(self.spec, self.spec._kernel.add_multiple((a,), f, (b,))[0])
+
     def __add__(self, other):
         v = self._operand(other)
-        return NotImplemented if v is None else FieldScalar(self.spec, self.value + v)
+        return NotImplemented if v is None else self._entry(self.value, 1, v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         v = self._operand(other)
-        return NotImplemented if v is None else FieldScalar(self.spec, self.value - v)
+        return NotImplemented if v is None else self._entry(self.value, -1, v)
 
     def __rsub__(self, other):
         v = self._operand(other)
-        return NotImplemented if v is None else FieldScalar(self.spec, v - self.value)
+        return NotImplemented if v is None else self._entry(v, -1, self.value)
 
     def __mul__(self, other):
         v = self._operand(other)
-        return NotImplemented if v is None else FieldScalar(self.spec, self.value * v)
+        return NotImplemented if v is None else FieldScalar(self.spec, self.spec._kernel.mul(self.value, v))
 
     __rmul__ = __mul__
 
@@ -631,8 +640,9 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
 
     Exact fields accept an optional sign, digits, and an optional
     ``/digits`` fraction part; the real field accepts decimal and exponent
-    syntax instead.  Results are canonical (reduced fraction, normalized
-    residue).
+    syntax instead, and refuses a value that overflows or a nonzero one
+    that rounds to zero.  Results are canonical (reduced fraction,
+    normalized residue).
     """
     t = text.strip()
     if spec.kind == APPROX_REALS:
@@ -641,7 +651,7 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
         if not _DECIMAL_RE.match(t):
             raise ParseError(f"not a real scalar: {text!r}")
         try:
-            return FieldScalar(spec, float(t))
+            return FieldScalar(spec, _parse_float(t))
         except NonFiniteValue as exc:
             raise ParseError(f"real scalar overflows to infinity: {text!r}") from exc
     if _INT_RE.match(t):
@@ -659,6 +669,14 @@ def scalar_parse(text: str, spec: FieldSpec) -> FieldScalar:
     if _DECIMAL_RE.match(t):
         raise ParseError(f"decimal syntax requires the real field: {text!r}")
     raise ParseError(f"not a scalar: {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    """``float(text)``, or ParseError where a nonzero decimal rounds to ``0.0``."""
+    x = float(text)
+    if x == 0 and re.search("[1-9]", text.lower().partition("e")[0]):
+        raise ParseError(f"real scalar underflows to zero: {text!r}")
+    return x
 
 
 def _parse_int(digits: str) -> int:
@@ -699,10 +717,11 @@ class LowDegreePoly:
         return tuple(FieldScalar(self.spec, c) for c in self._cs)
 
     def evaluate(self, x: FieldScalar) -> FieldScalar:
+        """Horner's rule; each step ``c + acc * x`` is one entry of the kernel's row operation."""
         kern, v = self.spec._kernel, _value_of(self.spec, x, ints=True)
         acc = kern.zero
         for c in self._cs:
-            acc = kern.canonical(kern.mul(acc, v) + c)
+            acc = kern.add_multiple((c,), acc, (v,))[0]
         return FieldScalar(self.spec, acc)
 
     def is_zero(self) -> bool:
@@ -751,9 +770,10 @@ def nonzero_roots(poly: LowDegreePoly) -> list[FieldScalar]:
 
     The field's kernel finds them: over F_p every nonzero residue is
     evaluated; over Q and R a Sturm sequence isolates them, exact over Q
-    and correctly rounded over R, where a root is kept when above ``tol``,
-    unequal by the field's equality to the last kept (so to every one), and
-    with ``|poly(x)|`` within ``tol`` times the largest term it sums.
+    and correctly rounded over R, where a root is kept when it does not
+    round to zero, unequal by the field's equality to the last kept (so to
+    every one), and with ``|poly(x)|`` within ``tol`` times the largest
+    term it sums.
 
     Raises IdenticallyZeroPolynomial when every coefficient is zero, since
     then every scalar is a root and the caller must decide what that means.

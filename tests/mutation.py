@@ -48,6 +48,7 @@ class Mutant:
     selection: tuple[str, ...]
 
 
+FIELD = "tests/test_field.py::"
 PAIR_SCAN = "tests/test_pair_scan.py::"
 RANKS_MATCH = PAIR_SCAN + "test_pair_ranks_of_every_column_match_the_pair_submatrix"
 SUBSPACE = "tests/test_subspace.py::"
@@ -151,6 +152,42 @@ MUTANTS = [
         "zip(rows[i:], supports[i:])",
         "zip(rows[i + 1 :], supports[i + 1 :])",
         (SUBSPACE + "test_sparse_closure_matches_scalar_reference",),
+    ),
+    # One zero rule over R: roots, scalar operators, evaluation and input.
+    Mutant(
+        "real-root-cut-reinstated",
+        "field.py",
+        "            if x == 0:\n                continue\n",
+        "            if abs(x) <= self.tol:\n                continue\n",
+        (FIELD + "test_real_root_near_the_float_limit_is_found",),
+    ),
+    Mutant(
+        "real-zero-root-kept",
+        "field.py",
+        "            if x == 0:\n                continue\n",
+        "",
+        (FIELD + "test_real_root_that_rounds_to_zero_is_dropped",),
+    ),
+    Mutant(
+        "scalar-sub-plain",
+        "field.py",
+        "NotImplemented if v is None else self._entry(self.value, -1, v)",
+        "NotImplemented if v is None else FieldScalar(self.spec, self.value - v)",
+        (FIELD + "test_real_difference_is_zero_exactly_where_equal",),
+    ),
+    Mutant(
+        "evaluate-plain-horner",
+        "field.py",
+        "acc = kern.add_multiple((c,), acc, (v,))[0]",
+        "acc = kern.canonical(kern.mul(acc, v) + c)",
+        (FIELD + "test_real_difference_is_zero_exactly_where_equal",),
+    ),
+    Mutant(
+        "underflow-check-dropped",
+        "field.py",
+        "if x == 0 and re.search(",
+        "if False and re.search(",
+        ("tests/test_cli.py", "-k", "underflows"),
     ),
 ]
 

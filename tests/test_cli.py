@@ -217,6 +217,30 @@ def test_regular_small_real_pivots(tmp_path, capsys):
     assert code == 0 and json.loads(out)["regular"] is True
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ['"1e-400"', "1e-400", '"-0.5e-330"', "-0.5e-330"],
+    ids=["text", "number", "negative-text", "negative-number"],
+)
+def test_real_entry_that_underflows_is_usage_error(tmp_path, capsys, entry):
+    # A nonzero decimal that rounds to 0.0 is refused, not read as a zero.
+    path = tmp_path / "under.alg"
+    path.write_text(f'{{"field": {{"kind": "R", "tol": 1e-9}}, "dim": 2, "matrix": [[{entry}, 0], [0, 1]]}}')
+    code, out, err = run(capsys, "regular", str(path))
+    assert (code, out) == (2, "")
+    text = entry.strip('"')
+    assert err == f"error: real scalar underflows to zero: {text!r}\n"
+
+
+def test_real_entries_that_stay_nonzero_or_are_zero_are_read(tmp_path, capsys):
+    # A subnormal that stays nonzero is kept; a zero with any exponent is zero.
+    path = tmp_path / "tiny.alg"
+    path.write_text('{"field": {"kind": "R", "tol": 1e-9}, "dim": 2, "matrix": [["4e-324", 0e-999], ["-0.0e-999", 1]]}')
+    code, out, err = run(capsys, "info", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matrix"] == [["4.9406564584124654e-324", "0"], ["0", "1"]]
+
+
 def test_boolean_dim_is_rejected(tmp_path, capsys):
     obj = {"field": {"kind": "Q"}, "dim": True, "matrix": [["2"]]}
     with pytest.raises(ParseError, match="dim must be a positive integer, got True"):
@@ -263,16 +287,22 @@ def test_codim1_real_overflow_is_one_line_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, head",
-    [("onedim", "2 one-dimensional subalgebras"), ("codim1", "2 codimension-one subalgebras")],
+    [("onedim", "3 one-dimensional subalgebras"), ("codim1", "3 codimension-one subalgebras")],
     ids=["onedim", "codim1"],
 )
 def test_real_root_whose_line_overflows_when_squared_is_answered(tmp_path, capsys, command, head):
-    # The cubic's root 1e308 is correctly rounded, so its line is an answer;
-    # only verify, which squares e1 + 1e308*e2 in floats, overflows.
+    # The cubic's roots 1e-300 and 1e308 are correctly rounded, so their
+    # lines are answers; only verify, which squares e1 + 1e308*e2 in floats,
+    # overflows.
     path = write_algebra(tmp_path, "ovf.alg", REALS, 2, CUBIC_OVERFLOW_REAL_ROWS)
     code, out, err = run(capsys, command, path)
     assert (code, err) == (0, "")
-    assert [line.split("  [")[0] for line in out.splitlines()] == [head, "  span{e1}", "  span{e1 + 1e+308*e2}"]
+    assert [line.split("  [")[0] for line in out.splitlines()] == [
+        head,
+        "  span{e1}",
+        "  span{e1 + 1e-300*e2}",
+        "  span{e1 + 1e+308*e2}",
+    ]
     assert run(capsys, "verify", path, "--span", "1,1e308") == (1, "", "error: real scalar must be finite, got inf\n")
 
 

@@ -165,6 +165,69 @@ def test_real_equality_uses_tolerance():
     assert FieldScalar(R9, 1.0) != FieldScalar(R9, 1.0 + 1e-6)
 
 
+def _near_pairs(tol, rng, count):
+    """Pairs of floats: equal, a relative distance within a factor of ten
+    of ``tol`` apart, unrelated, or with a zero."""
+    for _ in range(count):
+        x = rng.choice((1, -1)) * 10 ** rng.uniform(-300, 300)
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield x, x
+        elif kind == 1:
+            yield x, x * (1 + rng.choice((1, -1)) * tol * 10 ** rng.uniform(-1, 1))
+        elif kind == 2:
+            yield x, rng.choice((1, -1)) * 10 ** rng.uniform(-300, 300)
+        else:
+            yield rng.choice(((x, 0.0), (0.0, x), (0.0, -0.0)))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_real_difference_is_zero_exactly_where_equal(tol):
+    # One zero rule over R: a difference, a sum with the negation and the
+    # linear polynomial x - y at x vanish exactly where == calls x and y
+    # equal, as Element subtraction does.
+    spec, rng, equal = FieldSpec.approx_reals(tol), random.Random(29), 0
+    for a, b in _near_pairs(tol, rng, 4000):
+        x, y = FieldScalar(spec, a), FieldScalar(spec, b)
+        diffs = [x - y, y - x, x + (-y), -y + x]
+        poly = LowDegreePoly(spec.zero(), spec.zero(), spec.one(), -y)
+        assert [d.is_zero() for d in diffs + [poly.evaluate(x)]] == [x == y] * 5, (a, b)
+        equal += x == y and a != b
+        k = rng.randint(1, 10**6)
+        z = FieldScalar(spec, k * (1 + rng.choice((1, -1)) * tol * 10 ** rng.uniform(-1, 1)))
+        assert [(k - z).is_zero(), (z - k).is_zero(), (z + -k).is_zero()] == [spec.from_int(k) == z] * 3, (k, z)
+    assert equal > 500
+    assert ((FieldScalar(spec, 0.1) + FieldScalar(spec, 0.2)) - FieldScalar(spec, 0.3)).is_zero()
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F5, FieldSpec.prime_field(2**61 - 1)], ids=["Q", "F2", "F5", "F_big"])
+def test_exact_operators_and_evaluate_are_plain_arithmetic(spec):
+    # Over Q and F_p the kernel's row operations are exact, so every
+    # operator and every evaluation gives what plain arithmetic on the raw
+    # values gives once made canonical.
+    rng = random.Random(30)
+
+    def draw():
+        if spec.kind == "Q":
+            return Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 1, 2, 3, 10**9 + 7)))
+        return rng.randrange(-spec.p, 2 * spec.p)
+
+    for _ in range(500):
+        a, b, k = draw(), draw(), rng.randint(-50, 50)
+        x, y = FieldScalar(spec, a), FieldScalar(spec, b)
+        u, v = x.value, y.value
+        got = [x + y, x - y, x * y, y + k, k + y, y - k, k - y, y * k, k * y]
+        want = [u + v, u - v, u * v, v + k, k + v, v - k, k - v, v * k, k * v]
+        assert [repr(g) for g in got] == [repr(FieldScalar(spec, w)) for w in want], (a, b, k)
+        cs = [draw() for _ in range(4)]
+        poly = LowDegreePoly(*(FieldScalar(spec, c) for c in cs))
+        c3, c2, c1, c0 = (FieldScalar(spec, c).value for c in cs)
+        for t in (x, k, 0):
+            t_value = t.value if isinstance(t, FieldScalar) else t
+            horner = ((c3 * t_value + c2) * t_value + c1) * t_value + c0
+            assert repr(poly.evaluate(t)) == repr(FieldScalar(spec, horner)), (cs, t)
+
+
 def test_scalar_pow():
     x = scalar_parse("2/3", Q)
     assert (x ** 3).value == Fraction(8, 27)
@@ -466,9 +529,15 @@ def test_real_cubic_overflow_raises_nonfinite():
 
 
 def test_real_root_near_the_float_limit_is_found():
-    # x * (1e-8*x^2 - 1e300*x + 1): the root 1e308 is finite; the root near
-    # 1e-300 is within tol of zero.
-    assert [r.value for r in nonzero_roots(_poly(R9, 1e-8, -1e300, 1, 0))] == [1e308]
+    # x * (1e-8*x^2 - 1e300*x + 1): both roots, 1e-300 and 1e308, are finite
+    # and nonzero.
+    assert [r.value for r in nonzero_roots(_poly(R9, 1e-8, -1e300, 1, 0))] == [1e-300, 1e308]
+
+
+def test_real_root_that_rounds_to_zero_is_dropped():
+    # x * (x^2 + 1e300*x + 1e-300): the root near -1e-600 rounds to zero, so
+    # only -1e300 is a nonzero root.
+    assert R9._kernel.nonzero_roots((1.0, 1e300, 1e-300, 0.0)) == [-1e300]
 
 
 def test_real_root_below_the_subnormals_stops_refining():
@@ -626,16 +695,16 @@ def _wide_real_cubics(rng, count):
     "family", [_planted_real_cubics, _wide_real_cubics], ids=["planted-roots", "wide-coefficients"]
 )
 def test_real_roots_match_the_discriminant_on_seeded_cubics(family):
-    # Every real root of the exact binary cubic that is nonzero and distinct
-    # beyond tol is reported, and each reported root is one within an ulp.
-    tol = R9.tol
+    # Every nonzero real root of the exact binary cubic is reported, merged
+    # only where the field's equality merges it with the last kept, and each
+    # reported root is one within an ulp.
     for cs in family(random.Random(77), 1000):
         got = _kernel_roots(R9, cs)
         brackets = real_root_brackets(cs)
         assert len(brackets) == distinct_real_root_count(cs), cs
         kept = []
         for lo, _ in brackets:
-            if abs(lo) > tol and not (kept and lo - kept[-1] <= tol):
+            if lo != 0 and not (kept and FieldScalar(R9, lo) == FieldScalar(R9, kept[-1])):
                 kept.append(lo)
         assert len(got) == len(kept), cs
         assert all(changes_sign_around(cs, x) for x in got), cs

@@ -1022,3 +1022,48 @@ def test_near_tol_real_findings_hold_exactly(spec):
     for _ in range(3000):
         rounded_out += _check_findings(enumerate_codim1(_sparse_regular_algebra(spec, rng.randint(2, 6), rng)))
     assert rounded_out >= 200
+
+
+# -- a change of natural basis over R -----------------------------------
+
+
+def _wide_real_entry(tol, rng):
+    """45 % zero, 15 % from {1, -1, 2, 3}, 15 % in (-3, 3), 15 % within ten
+    times tol and 10 % in (-1, 1) * 2^k, k in -40..40."""
+    u = rng.random()
+    if u < 0.45:
+        return 0.0
+    if u < 0.6:
+        return float(rng.choice((1, -1, 2, 3)))
+    if u < 0.75:
+        return rng.uniform(-3, 3)
+    if u < 0.9:
+        return rng.uniform(-10, 10) * tol
+    return rng.uniform(-1, 1) * 2.0 ** rng.randint(-40, 40)
+
+
+def _codim1_subspaces(a):
+    return enumerate_codim1(a).subspaces()
+
+
+@pytest.mark.parametrize("spec", [R9, R12], ids=["R9", "R12"])
+def test_real_natural_basis_change_in_dimension_two(spec):
+    # A permutation times signed powers of two changes the natural basis
+    # exactly in floats, so over R too every answer must move with it.  A
+    # swap turns a root t of the pair's cubic into 1/t and a scaling into
+    # 2^k * t, and a root is kept or dropped alike in both bases.
+    rng, searched, found = random.Random(14), 0, 0
+    for _ in range(3000):
+        a = make_algebra(spec, [[_wide_real_entry(spec.tol, rng) for _ in range(2)] for _ in range(2)])
+        perm = rng.sample(range(2), 2)
+        lam = [FieldScalar(spec, rng.choice((1.0, -1.0)) * 2.0 ** rng.randint(-30, 30)) for _ in range(2)]
+        b, context = _changed_basis(a, perm, lam), (a.structure, perm, lam)
+        assert b.is_regular() == a.is_regular(), context
+        if not a.is_regular():
+            continue
+        searched += 1
+        for search in (solve_onedim, _codim1_subspaces):
+            want = [_in_changed_basis(sub, b, perm, lam) for sub in search(a)]
+            _assert_relabelled(search(b), want, context)
+            found += len(want)
+    assert searched >= 1400 and found >= 5000
