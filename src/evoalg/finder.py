@@ -39,7 +39,11 @@ The field's kernel decides the closure identity (over R relative to its
 products) and finds and flags the cubic's roots.
 
 A candidate's reduced row echelon basis is known in closed form, so no
-candidate is eliminated.  A candidate is fixed by the free column of a
+candidate is eliminated.  It is built in O(n): the identity's unit rows,
+made once per search at its first candidate, without the free column's
+row, and for ``e_p + t*e_q`` with the row of p copied once to hold t.
+Every other row is shared.  Findings and diagnostics are named tuples,
+so a rank-2 pair costs one tuple.  A candidate is fixed by the free column of a
 coordinate hyperplane, or by (p, q, t) for ``e_p + t*e_q``, and distinct
 keys give subspaces the field's equality tells apart: different free
 columns or different p leave a unit entry facing a zero, and the t of one
@@ -63,6 +67,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .algebra import Element, EvolutionAlgebra
 from .errors import NonFiniteValue, NotRegular, UnsupportedFieldDimension
@@ -87,8 +92,7 @@ class PairSubmatrix:
     rank: int
 
 
-@dataclass(frozen=True)
-class CodimOneFound:
+class CodimOneFound(NamedTuple):
     """One codimension-one subalgebra with its provenance.
 
     ``vector`` holds the (alpha, beta) coefficients of v relative to
@@ -104,8 +108,7 @@ class CodimOneFound:
     root: FieldScalar | None = None
 
 
-@dataclass(frozen=True)
-class PairDiagnostics:
+class PairDiagnostics(NamedTuple):
     """Per-pair search record: rank, condition values, roots, drop flags.
 
     For rank 1, ``row`` is the first nonzero submatrix row as read from
@@ -129,6 +132,20 @@ class PairDiagnostics:
     drop_p: bool | None = None
     drop_q: bool | None = None
     flagged_roots: tuple[FieldScalar, ...] = ()
+
+
+class _Search(NamedTuple):
+    """What the candidates of one search share: ``units()``, the rows of
+    the identity matrix, built at the first call (most dense searches
+    have no candidate), and ``hyperplanes``, which maps the free column
+    of each coordinate hyperplane built so far to its subspace."""
+
+    units: Callable[[], tuple]
+    hyperplanes: dict
+
+    @classmethod
+    def of(cls, a: EvolutionAlgebra) -> "_Search":
+        return cls(functools.cache(lambda: Matrix.identity(a.spec, a.dim)._rows), {})
 
 
 @dataclass(frozen=True)
@@ -210,7 +227,7 @@ def solve_onedim(a: EvolutionAlgebra) -> list[Subspace]:
         raise NotRegular("one-dimensional search needs a regular algebra")
     if a.spec.kind == PRIME_FIELD:
         return [line for line in enumerate_subspaces_of(a, 1) if line.is_subalgebra()]
-    return sorted((found.subspace for found in _rank0_search(a, 1, 2, {})[0]), key=Subspace.sort_key)
+    return sorted((found.subspace for found in _rank0_search(a, 1, 2, _Search.of(a))[0]), key=Subspace.sort_key)
 
 
 def pair_submatrix(a: EvolutionAlgebra, p: int, q: int) -> PairSubmatrix:
@@ -278,16 +295,16 @@ def codim1_necessary(a: EvolutionAlgebra, p: int, q: int) -> bool:
     return all(_closure_verdict(a, p, q, alpha, beta)[2] for alpha, beta in _pair_rows(a, p, q))
 
 
-def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, hyperplanes: dict) -> Subspace:
+def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, search: _Search) -> Subspace:
     """span({e_i : i != p,q} + {v}), v = x*e_p + y*e_q (raw), in canonical
     form: the unit rows of every column but one free column, with v scaled
     as ``linalg._eliminate`` scales it, to e_p + t*e_q; where x or t is
     zero, the coordinate hyperplane without e_p or e_q.  The pair's rank
     and its closure identity or cubic have decided that the span is
     closed (see the module notes), so the basis is not checked again.
-    ``hyperplanes`` maps the free column of each coordinate hyperplane
-    built in this search to its subspace, which is handed back when
-    another pair reaches it.  An overflow while scaling v is a
+    The basis shares the rows of ``search.units()``; only the row of v
+    is new.  A coordinate hyperplane already in ``search.hyperplanes`` is
+    handed back.  An overflow while scaling v is a
     NonFiniteValue that names the pair and the candidate.
     """
     kern, n = a.spec._kernel, a.dim
@@ -300,22 +317,21 @@ def _codim1_subspace(a: EvolutionAlgebra, p: int, q: int, x, y, hyperplanes: dic
             f"candidate for pair ({p},{q}) with v = {Element._of(a, v).render()} overflows: {exc}"
         ) from exc
     free = p - 1 if x == 0 else q - 1
+    units, hyperplanes = search
     if t == 0 and free in hyperplanes:
         return hyperplanes[free]
-    pivots = tuple(c for c in range(n) if c != free)
-    lead = (p - 1, free) if t != 0 else None  # where the row of v holds t
-    rows = tuple(
-        tuple(kern.one if j == c else t if (c, j) == lead else kern.zero for j in range(n))
-        for c in pivots
-    )
-    sub = Subspace._canonical(a, rows, pivots)
+    rows, pivots = list(units()), list(range(n))
+    if t != 0:  # the row of v: e_p with t in the free column q
+        rows[p - 1] = rows[p - 1][:free] + (t,) + rows[p - 1][free + 1 :]
+    del rows[free], pivots[free]
+    sub = Subspace._canonical(a, tuple(rows), tuple(pivots))
     if t == 0:
         hyperplanes[free] = sub
     return sub
 
 
 def _rank0_search(
-    a: EvolutionAlgebra, p: int, q: int, hyperplanes: dict
+    a: EvolutionAlgebra, p: int, q: int, search: _Search
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     """Findings and diagnostics for a pair whose submatrix vanishes (also
     the full dimension-two answer, where the submatrix has no rows), from
@@ -325,15 +341,15 @@ def _rank0_search(
     roots = tuple(nonzero_roots(cubic))
     found = []
     for lam in roots:
-        sub = _codim1_subspace(a, p, q, kern.one, lam.value, hyperplanes)
+        sub = _codim1_subspace(a, p, q, kern.one, lam.value, search)
         found.append(CodimOneFound(sub, p, q, CASE_ROOT, (a.spec.one(), lam), lam))
     _, apq, aqp, _ = _pair_constants(a, p, q)
     drop_q, drop_p = apq == 0, aqp == 0
     if drop_q:
-        sub = _codim1_subspace(a, p, q, kern.one, kern.zero, hyperplanes)
+        sub = _codim1_subspace(a, p, q, kern.one, kern.zero, search)
         found.append(CodimOneFound(sub, p, q, CASE_DROP_Q))
     if drop_p:
-        sub = _codim1_subspace(a, p, q, kern.zero, kern.one, hyperplanes)
+        sub = _codim1_subspace(a, p, q, kern.zero, kern.one, search)
         found.append(CodimOneFound(sub, p, q, CASE_DROP_P))
     flagged = tuple(r for r in roots if kern.is_flagged_root(cubic._cs, r.value))
     return found, PairDiagnostics(
@@ -342,7 +358,7 @@ def _rank0_search(
 
 
 def _pair_search(
-    a: EvolutionAlgebra, p: int, q: int, rank: int, hyperplanes: dict
+    a: EvolutionAlgebra, p: int, q: int, rank: int, search: _Search
 ) -> tuple[list[CodimOneFound], PairDiagnostics]:
     """Findings and diagnostics for the pair p < q, whose pair submatrix
     has rank ``rank``."""
@@ -357,12 +373,12 @@ def _pair_search(
         if holds:
             inv = kern.inv(y if x == 0 else x)
             vec = (kern.mul(x, inv), kern.mul(y, inv))
-            sub = _codim1_subspace(a, p, q, *vec, hyperplanes)
+            sub = _codim1_subspace(a, p, q, *vec, search)
             found.append(CodimOneFound(sub, p, q, CASE_ROW, tuple(map(wrap, vec))))
         return found, PairDiagnostics(
             p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-    return _rank0_search(a, p, q, hyperplanes)
+    return _rank0_search(a, p, q, search)
 
 
 def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
@@ -371,7 +387,7 @@ def codim1_for_pair(a: EvolutionAlgebra, p: int, q: int) -> list[CodimOneFound]:
         raise NotRegular("codimension-one search needs a regular algebra")
     _check_pair_with_rows(a, p, q)
     p, q = min(p, q), max(p, q)
-    found, _ = _pair_search(a, p, q, _pair_rank_of(a, p, q), {})
+    found, _ = _pair_search(a, p, q, _pair_rank_of(a, p, q), _Search.of(a))
     return found
 
 
@@ -391,7 +407,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
         raise UnsupportedFieldDimension(f"codimension-one search needs dimension >= 2, got {n}")
     first: dict[int, CodimOneFound] = {}
     diags: list[PairDiagnostics] = []
-    hyperplanes: dict = {}
+    search = _Search.of(a)
     rows, kern = a.structure._rows, a.spec._kernel
     for p in range(1, n):
         try:
@@ -400,7 +416,7 @@ def enumerate_codim1(a: EvolutionAlgebra) -> SubalgebraReport:
             ranks = None
         for q in range(p + 1, n + 1):
             rank = _pair_rank_of(a, p, q) if ranks is None else ranks[q - 1]
-            found, diag = _pair_search(a, p, q, rank, hyperplanes)
+            found, diag = _pair_search(a, p, q, rank, search)
             for f in found:
                 first.setdefault(id(f.subspace), f)
             diags.append(diag)

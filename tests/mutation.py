@@ -49,6 +49,7 @@ class Mutant:
 
 
 FIELD = "tests/test_field.py::"
+FINDER = "tests/test_finder.py::"
 PAIR_SCAN = "tests/test_pair_scan.py::"
 RANKS_MATCH = PAIR_SCAN + "test_pair_ranks_of_every_column_match_the_pair_submatrix"
 SUBSPACE = "tests/test_subspace.py::"
@@ -130,6 +131,28 @@ MUTANTS = [
         "kern.canonical(terms[0] + terms[1])",
         "kern.canonical(terms[0] - terms[1])",
         ("tests/test_finder.py", "-k", "natural_basis_change or sound_everywhere"),
+    ),
+    # Candidate bases: the identity's unit rows, the row of v rewritten.
+    Mutant(
+        "basis-t-one-column-late",
+        "finder.py",
+        "rows[p - 1][:free] + (t,) + rows[p - 1][free + 1 :]",
+        "rows[p - 1][: free + 1] + (t,) + rows[p - 1][free + 2 :]",
+        (FINDER + "test_every_finding_basis_is_canonical[Q]",),
+    ),
+    Mutant(
+        "basis-row-of-p-left-a-unit-row",
+        "finder.py",
+        "rows[p - 1] = rows[p - 1][:free] + (t,) + rows[p - 1][free + 1 :]",
+        "rows[p - 1] = rows[p - 1]",
+        (FINDER + "test_closed_form_codim1_basis_is_the_rref_of_its_spanning_rows[Q]",),
+    ),
+    Mutant(
+        "basis-free-row-kept",
+        "finder.py",
+        "del rows[free], pivots[free]",
+        "del pivots[free]",
+        (FINDER + "test_every_finding_basis_is_canonical[Q]",),
     ),
     # Membership, closure and the natural basis (subspace.py).
     Mutant(

@@ -611,7 +611,7 @@ def reference_pair_ranks(rows, p, qs, order, kern):
     return ReferenceRanks(rows, p, kern)
 
 
-def reference_pair_search(a, p, q, rank, hyperplanes):
+def reference_pair_search(a, p, q, rank, search):
     """``finder._pair_search`` on a copy of the pair's rows: the search of
     one pair p < q before it read them in place."""
     kern, rows = a.spec._kernel, reference_pair_rows(a, p, q)
@@ -625,12 +625,12 @@ def reference_pair_search(a, p, q, rank, hyperplanes):
         if holds:
             inv = kern.inv(y if x == 0 else x)
             vec = (kern.mul(x, inv), kern.mul(y, inv))
-            sub = finder._codim1_subspace(a, p, q, *vec, hyperplanes)
+            sub = finder._codim1_subspace(a, p, q, *vec, search)
             found.append(finder.CodimOneFound(sub, p, q, finder.CASE_ROW, tuple(map(wrap, vec))))
         return found, finder.PairDiagnostics(
             p, q, 1, row=(wrap(x), wrap(y)), closure_lhs=wrap(lhs), closure_rhs=wrap(rhs), closure_holds=holds
         )
-    return finder._rank0_search(a, p, q, hyperplanes)
+    return finder._rank0_search(a, p, q, search)
 
 
 def reference_enumerate_codim1(a):

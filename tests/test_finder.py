@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from evoalg.finder import (
     CASE_ROOT,
     CASE_ROW,
     _codim1_subspace,
+    _Search,
     codim1_for_pair,
     onedim_residual,
 )
@@ -162,7 +164,7 @@ def test_dim2_closed_form_matches_fp_enumeration():
         for rows in all_regular_structures(p, 2):
             a = make_algebra(spec, rows)
             via_scan = subspace_keys(solve_onedim(a))
-            via_form = subspace_keys([f.subspace for f in _rank0_search(a, 1, 2, {})[0]])
+            via_form = subspace_keys([f.subspace for f in _rank0_search(a, 1, 2, _Search.of(a))[0]])
             assert via_scan == via_form
 
 
@@ -411,7 +413,7 @@ def test_closed_form_codim1_basis_is_the_rref_of_its_spanning_rows(spec):
                 v[p - 1], v[q - 1] = x, y
                 spanning = [units[i] for i in range(n) if i not in (p - 1, q - 1)] + [tuple(v)]
                 ref = Subspace(a, Matrix._trusted(spec, tuple(spanning), n))
-                sub = _codim1_subspace(a, p, q, x, y, {})
+                sub = _codim1_subspace(a, p, q, x, y, _Search.of(a))
                 assert sub.pivot_cols == ref.pivot_cols
                 assert repr(_unsigned(sub.basis._rows)) == repr(_unsigned(ref.basis._rows))
     if spec.kind == "R":
@@ -422,10 +424,94 @@ def test_candidate_whose_scaled_v_overflows_is_one_line_error():
     # v = 0.5*e1 + 1e308*e2 scales to e1 + 2e308*e2, beyond the floats.
     a = make_algebra(R9, [[0, 0], [0, 0]])
     with pytest.raises(NonFiniteValue) as exc:
-        _codim1_subspace(a, 1, 2, 0.5, 1e308, {})
+        _codim1_subspace(a, 1, 2, 0.5, 1e308, _Search.of(a))
     assert str(exc.value) == (
         "candidate for pair (1,2) with v = 0.5*e1 + 1e+308*e2 overflows: real scalar must be finite, got inf"
     )
+
+
+@pytest.mark.parametrize("spec", [Q, FieldSpec.prime_field(7), R9], ids=["Q", "F7", "R"])
+def test_every_finding_basis_is_canonical(spec):
+    # A candidate's basis shares the identity's unit rows and rewrites one
+    # row; rref of that basis must hand back the same rows and pivots.
+    rng, cases = random.Random(3001), collections.Counter()
+    for n in range(2, 9):
+        for _ in range(12):
+            a = _sparse_regular_algebra(spec, n, rng)
+            for f in enumerate_codim1(a).found:
+                sub = f.subspace
+                ref = Subspace(a, Matrix(spec, sub.basis.rows()))
+                assert repr((sub.basis._rows, sub.pivot_cols)) == repr((ref.basis._rows, ref.pivot_cols)), f
+                assert sub.dim == n - 1 and all(len(row) == n for row in sub.basis._rows), f
+                cases[f.case] += 1
+    assert all(cases[case] for case in (CASE_ROOT, CASE_ROW, CASE_DROP_P, CASE_DROP_Q)), cases
+
+
+PAIR_DIAGNOSTICS_FIELDS = (
+    "p", "q", "rank", "row", "closure_lhs", "closure_rhs", "closure_holds",
+    "cubic", "roots", "drop_p", "drop_q", "flagged_roots",
+)  # fmt: skip
+RANK1_FAILING_ROWS = [[2, 0, 0], [-1, -1, 0], [2, 1, 1]]
+
+
+def test_record_fields_defaults_and_immutability():
+    assert finder.PairDiagnostics._fields == PAIR_DIAGNOSTICS_FIELDS
+    assert finder.CodimOneFound._fields == ("subspace", "p", "q", "case", "vector", "root")
+    d = finder.PairDiagnostics(p=1, q=2, rank=2)
+    assert d[3:] == (None,) * 8 + ((),) and d == (1, 2, 2, *d[3:])
+    sub = enumerate_codim1(make_algebra(Q, identity_rows(3))).found[0].subspace
+    f = finder.CodimOneFound(subspace=sub, p=1, q=2, case=CASE_DROP_Q)
+    assert (f.vector, f.root) == (None, None)
+    for record, name in ((d, "rank"), (d, "extra"), (f, "case"), (f, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
+def test_record_reprs_are_unchanged():
+    diags = {(d.p, d.q): d for d in enumerate_codim1(make_algebra(Q, RANK2_PAIR_ROWS)).diagnostics}
+    assert repr(diags[1, 2]) == (
+        "PairDiagnostics(p=1, q=2, rank=0, row=None, closure_lhs=None, closure_rhs=None, closure_holds=None, "
+        "cubic=LowDegreePoly(-x^2 + x over Q), roots=(FieldScalar(Q, 1),), drop_p=True, drop_q=True, "
+        "flagged_roots=())"
+    )
+    assert repr(diags[1, 3]) == (
+        "PairDiagnostics(p=1, q=3, rank=1, row=(FieldScalar(Q, 0), FieldScalar(Q, 1)), "
+        "closure_lhs=FieldScalar(Q, 0), closure_rhs=FieldScalar(Q, 0), closure_holds=True, cubic=None, "
+        "roots=None, drop_p=None, drop_q=None, flagged_roots=())"
+    )
+    assert repr(diags[3, 4]) == (
+        "PairDiagnostics(p=3, q=4, rank=2, row=None, closure_lhs=None, closure_rhs=None, closure_holds=None, "
+        "cubic=None, roots=None, drop_p=None, drop_q=None, flagged_roots=())"
+    )
+    report = enumerate_codim1(make_algebra(Q, RANK1_FAILING_ROWS))
+    assert repr(report.diagnostics[0]) == (
+        "PairDiagnostics(p=1, q=2, rank=1, row=(FieldScalar(Q, 2), FieldScalar(Q, 1)), "
+        "closure_lhs=FieldScalar(Q, 7), closure_rhs=FieldScalar(Q, -2), closure_holds=False, cubic=None, "
+        "roots=None, drop_p=None, drop_q=None, flagged_roots=())"
+    )
+    assert [repr(f) for f in report.found if f.case == CASE_ROW] == [
+        "CodimOneFound(subspace=Subspace(span{e1, e2}, dim=2), p=1, q=3, case='rank1-row', "
+        "vector=(FieldScalar(Q, 1), FieldScalar(Q, 0)), root=None)"
+    ]
+    found = enumerate_codim1(make_algebra(Q, [[-1, 0, 0], [0, 2, 0], [0, 0, 1]])).found
+    assert [repr(f) for f in found if (f.p, f.q) == (1, 3)] == [
+        "CodimOneFound(subspace=Subspace(span{e1 - e3, e2}, dim=2), p=1, q=3, case='root', "
+        "vector=(FieldScalar(Q, 1), FieldScalar(Q, -1)), root=FieldScalar(Q, -1))",
+        "CodimOneFound(subspace=Subspace(span{e1, e2}, dim=2), p=1, q=3, case='drop-q', vector=None, root=None)",
+    ]
+    assert [repr(f) for f in found if f.case == CASE_DROP_P] == [
+        "CodimOneFound(subspace=Subspace(span{e2, e3}, dim=2), p=1, q=2, case='drop-p', vector=None, root=None)"
+    ]
+
+
+@pytest.mark.parametrize("spec", [Q, FieldSpec.prime_field(7), R9], ids=["Q", "F7", "R"])
+def test_equal_records_are_equal_and_hash_alike(spec):
+    rng = random.Random(3002)
+    for _ in range(10):
+        rows = _sparse_regular_algebra(spec, rng.randint(3, 6), rng).structure.rows()
+        one, two = enumerate_codim1(make_algebra(spec, rows)), enumerate_codim1(make_algebra(spec, rows))
+        for x, y in zip(one.diagnostics + one.found, two.diagnostics + two.found, strict=True):
+            assert x is not y and x == y and hash(x) == hash(y)
 
 
 def test_enumerate_codim1_dim2_delegates_to_lines():
@@ -889,7 +975,7 @@ def test_real_cubic_with_a_small_leading_coefficient_has_three_lines():
     ]
     roots = [f.root.value for f in enumerate_codim1(a).found]
     assert roots[2] == 1.9999999200000032
-    sub = _codim1_subspace(a, 1, 2, 1.0, roots[2], {})
+    sub = _codim1_subspace(a, 1, 2, 1.0, roots[2], _Search.of(a))
     assert sub.is_subalgebra() and sub.render() == "span{e1 + 1.9999999200000032*e2}"
 
 
